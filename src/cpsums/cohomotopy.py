@@ -63,10 +63,9 @@ def _quotient_by_image(stem: FgAbGroup, image: FgAbGroup) -> FgAbGroup:
 
 
 def _sum_of(copies: int, g: FgAbGroup) -> FgAbGroup:
-    out = FgAbGroup.zero()
-    for _ in range(copies):
-        out = out.direct_sum(g)
-    return out
+    return FgAbGroup.from_cyclic_orders(
+        *([0] * (g.free_rank * copies)), *(g.invariant_factors * copies)
+    )
 
 
 def build_sequence(k: int, n: int) -> ShortExactSequence:

@@ -4,7 +4,13 @@
 0 -> A -> G -> B -> 0, working prime by prime: a p-group of type lambda
 admits a subgroup of type mu with quotient of type nu exactly when a
 Littlewood-Richardson tableau of shape lambda/mu and content nu exists
-(Hall's subgroup count is nonzero iff the LR coefficient is).  The
+(Hall's subgroup count is nonzero iff the LR coefficient is).  Only
+shapes in the dominance interval [mu u nu, mu + nu] are tested: when
+c^lam_{mu,nu} is nonzero, lam dominates the union mu u nu (all parts of
+both, sorted) and is dominated by the sum mu + nu (added part by part);
+Macdonald, *Symmetric Functions and Hall Polynomials*, Ch. I Sec. 9.
+The interval has polynomially many shapes where the full partition scan
+of |mu| + |nu| grows exponentially.  The
 independent oracle `brute_force_middle_terms` instead enumerates the
 candidate groups element by element and searches for an actual subgroup
 with the right quotient.
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product, zip_longest
 from math import gcd, lcm, prod
 
 from .fgab import FgAbGroup, factorint, is_prime
@@ -68,8 +74,12 @@ def lr_positive(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) 
     """Whether the Littlewood-Richardson coefficient c^lam_{mu,nu} is nonzero.
 
     Searches for a semistandard skew tableau of shape lam/mu and content
-    nu whose reverse reading word is a lattice word.  Shapes here are
-    tiny (|lam| <= 12), so plain backtracking is plenty.
+    nu whose reverse reading word is a lattice word.  The shapes come
+    from `dominance_interval` and can be large: in the connected-sum
+    sequences nu is a column of ones and |lam| grows linearly in k
+    (about 300 cells at k = 100).  Each cell is offered only the entries
+    its row and column neighbours allow, which for such nu leaves one,
+    and the search runs without recursion, so thousands of cells fit.
     """
     if sum(lam) != sum(mu) + sum(nu):
         return False
@@ -87,31 +97,30 @@ def lr_positive(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) 
     nvals = len(nu)
     counts = [0] * (nvals + 1)
     grid: dict[tuple[int, int], int] = {}
-
-    def place(idx: int) -> bool:
-        if idx == len(cells):
-            return True
+    # depth-first over the cells; `start` is the least entry not yet
+    # tried in the current cell
+    idx, start = 0, 1
+    while idx < len(cells):
         r, c = cells[idx]
-        right = grid.get((r, c + 1))
-        upper = grid.get((r - 1, c)) if r > 0 and c >= mu_padded[r - 1] else None
-        for v in range(1, nvals + 1):
+        right = grid.get((r, c + 1), nvals)
+        upper = grid.get((r - 1, c), 0) if r > 0 and c >= mu_padded[r - 1] else 0
+        for v in range(max(start, upper + 1), right + 1):
             if counts[v] == nu[v - 1]:
-                continue
-            if right is not None and v > right:
-                continue
-            if upper is not None and v <= upper:
                 continue
             if v > 1 and counts[v - 1] <= counts[v]:
                 continue
             grid[(r, c)] = v
             counts[v] += 1
-            if place(idx + 1):
-                return True
+            idx, start = idx + 1, 1
+            break
+        else:
+            if idx == 0:
+                return False
+            idx -= 1
+            v = grid.pop(cells[idx])
             counts[v] -= 1
-            del grid[(r, c)]
-        return False
-
-    return place(0)
+            start = v + 1
+    return True
 
 
 def all_abelian_groups_of_order(n: int) -> list[FgAbGroup]:
@@ -135,12 +144,64 @@ def all_abelian_groups_of_order(n: int) -> list[FgAbGroup]:
 # -- candidate enumeration (Littlewood-Richardson route) ---------------------
 
 
+def dominance_interval(mu: tuple[int, ...], nu: tuple[int, ...]):
+    """Yield the partitions lam of |mu| + |nu| with mu u nu <= lam <= mu + nu
+    in dominance order, as descending tuples.
+
+    mu u nu sorts the parts of both, mu + nu adds them part by part.
+    Every lam with c^lam_{mu,nu} != 0 lies in this interval (Macdonald,
+    Ch. I Sec. 9), so it is a complete candidate set for `lr_positive`.
+    The search keeps each prefix sum lam_1 + ... + lam_i between those of
+    the two bounds, so lam has at most len(mu) + len(nu) parts.
+
+    >>> list(dominance_interval((1,), (1, 1)))
+    [(2, 1), (1, 1, 1)]
+    """
+    lower = list(accumulate(sorted(mu + nu, reverse=True)))
+    upper = list(accumulate(a + b for a, b in zip_longest(mu, nu, fillvalue=0)))
+    total = lower[-1] if lower else 0
+    upper += [total] * (len(lower) - len(upper))
+    length = len(lower)
+    if not length:
+        yield ()
+        return
+    # depth-first without recursion, since lam may have thousands of
+    # parts: lam holds the parts chosen so far, sums[i] = lam_1 + ... +
+    # lam_i, and part is the next part to try at slot i = len(lam).
+    # Parts are tried in descending order, so the first one that misses
+    # the lower bound, or cannot fill the remaining slots, ends the slot.
+    lam: list[int] = []
+    sums = [0]
+    part = upper[0]
+    while True:
+        i = len(lam)
+        prefix = sums[i]
+        fits = prefix + part >= lower[i] and part * (length - i) >= total - prefix
+        if part > 0 and fits:
+            if prefix + part == total:
+                yield (*lam, part)
+                part -= 1
+            else:
+                lam.append(part)
+                sums.append(prefix + part)
+                part = min(part, upper[i + 1] - prefix - part)
+        elif lam:
+            sums.pop()
+            part = lam.pop() - 1
+        else:
+            return
+
+
 def middle_candidates_between(sub: FgAbGroup, quot: FgAbGroup) -> list[FgAbGroup]:
     """All isomorphism classes of middle terms of 0 -> sub -> G -> quot -> 0.
 
     Free parts split off (a free quotient always splits; a free subgroup
     summand is carried across unchanged), leaving a torsion extension
-    problem solved prime by prime via LR positivity.
+    problem solved prime by prime via LR positivity.  Per prime, only the
+    shapes lam in the dominance interval [mu u nu, mu + nu] are tested:
+    c^lam_{mu,nu} != 0 forces mu u nu <= lam <= mu + nu (Macdonald,
+    *Symmetric Functions and Hall Polynomials*, Ch. I Sec. 9).  The
+    interval only prunes; `lr_positive` decides every shape inside it.
     """
     rank = sub.free_rank + quot.free_rank
     mu_primary = sub.primary_exponents()
@@ -150,8 +211,7 @@ def middle_candidates_between(sub: FgAbGroup, quot: FgAbGroup) -> list[FgAbGroup
     for p in primes:
         mu = mu_primary.get(p, ())
         nu = nu_primary.get(p, ())
-        total = sum(mu) + sum(nu)
-        lams = [lam for lam in partitions(total) if lr_positive(lam, mu, nu)]
+        lams = [lam for lam in dominance_interval(mu, nu) if lr_positive(lam, mu, nu)]
         per_prime.append(lams)
     out = [
         FgAbGroup.from_primary(dict(zip(primes, combo)), free_rank=rank)

@@ -234,7 +234,11 @@ def structure_set(k: int, n: int) -> StructureSetResult:
         if n == 4:
             exotic = 2**k
             derivation = "half of the smooth structure set: |S^t_Diff| / 2 = 2^k"
-            assert exotic == normal.torsion_order() // 2
+            if exotic != normal.torsion_order() // 2:
+                raise ValueError(
+                    f"exotic count 2^{k} is not half of |S^t_Diff| = "
+                    f"{normal.torsion_order()} for k={k}, n=4"
+                )
         else:
             exotic = 0
             derivation = (
@@ -274,8 +278,11 @@ def structure_set(k: int, n: int) -> StructureSetResult:
             "im(eta: S^t_Diff(#_k CP^7) -> N^t_Diff) is isomorphic to "
             "S^t_PL(#_k CP^7)"
         )
-    if n in (6, 7):
-        assert image.torsion_order() - pl.torsion_order() == 0
+    if n in (6, 7) and image.torsion_order() != pl.torsion_order():
+        raise ValueError(
+            f"|im(eta)| = {image.torsion_order()} differs from "
+            f"|[#_k CP^n, PL/O]| = {pl.torsion_order()} for k={k}, n={n}"
+        )
     return StructureSetResult(
         k=k,
         n=n,

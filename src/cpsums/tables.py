@@ -146,6 +146,17 @@ def data_path() -> str:
     return os.environ.get(DATA_ENV) or _default_path()
 
 
+def _record_key(rec, where: str) -> tuple:
+    """Lookup key (kind, sorted params) of a raw record, validated."""
+    kind, params = rec.get("kind"), rec.get("params")
+    if not isinstance(kind, str) or not isinstance(params, dict):
+        raise TableError(f"{where}: record needs a string 'kind' and an object 'params'")
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TableError(f"{where}: param {name}={value!r} of {kind!r} is not an integer")
+    return (kind, tuple(sorted(params.items())))
+
+
 @lru_cache(maxsize=8)
 def _load(path: str) -> dict[tuple, dict]:
     records: dict[tuple, dict] = {}
@@ -154,17 +165,18 @@ def _load(path: str) -> dict[tuple, dict]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise TableError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                raise TableError(f"{where}: not valid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise TableError(f"{where}: expected a JSON object, got {type(rec).__name__}")
             if not rec.get("citation"):
-                raise TableError(
-                    f"{path}:{lineno}: record {rec.get('kind')!r} lacks a citation"
-                )
-            key = (rec["kind"], tuple(sorted((k, int(v)) for k, v in rec["params"].items())))
+                raise TableError(f"{where}: record {rec.get('kind')!r} lacks a citation")
+            key = _record_key(rec, where)
             if key in records:
-                raise TableError(f"{path}:{lineno}: duplicate record {key}")
+                raise TableError(f"{where}: duplicate record {key}")
             records[key] = rec
     return records
 

@@ -11,6 +11,7 @@ from cpsums.cohomotopy import (
 from cpsums.extensions import (
     AmbiguousResult,
     brute_force_middle_terms,
+    dominance_interval,
     middle_candidates,
 )
 from cpsums.fgab import FgAbGroup, localize_at_prime
@@ -102,6 +103,38 @@ class TestAmbiguousCaseN8:
             res = pi_s0_connected_sum(k, 8)
             oracle = brute_force_middle_terms(res.sequence.sub, res.sequence.quot)
             assert sorted(res.group) == oracle
+
+
+def _shapes_per_prime(k, n):
+    """Shapes the dominance-interval generator yields, per prime, for the
+    sequence of #_k CP^n."""
+    seq = build_sequence(k, n)
+    mu, nu = seq.sub.primary_exponents(), seq.quot.primary_exponents()
+    return {
+        p: sum(1 for _ in dominance_interval(mu.get(p, ()), nu.get(p, ())))
+        for p in sorted(set(mu) | set(nu))
+    }
+
+
+class TestLargeK:
+    def test_shape_count_stays_flat(self):
+        # a full scan would visit p(3k) partitions for n = 8: 147,273 at k = 16
+        for k in (16, 100):
+            assert _shapes_per_prime(k, 8) == {2: 2}
+            for n in range(3, 9):
+                assert all(c <= 3 for c in _shapes_per_prime(k, n).values())
+
+    def test_closed_forms_at_k_100(self):
+        for n in range(3, 8):
+            assert pi_s0_connected_sum(100, n).group == expected_closed_form(100, n)
+
+    def test_n8_at_k_100(self):
+        res = pi_s0_connected_sum(100, 8)
+        assert isinstance(res.group, AmbiguousResult)
+        assert set(res.group) == {
+            FgAbGroup(0, (2,) * 300),
+            FgAbGroup(0, (2,) * 298 + (4,)),
+        }
 
 
 class TestSingleCopyRegression:

@@ -12,6 +12,7 @@ from cpsums.extensions import (
     SplittingFilter,
     all_abelian_groups_of_order,
     brute_force_middle_terms,
+    dominance_interval,
     lr_positive,
     middle_candidates,
     middle_candidates_between,
@@ -36,6 +37,51 @@ class TestPartitions:
 
     def test_zero(self):
         assert list(partitions(0)) == [()]
+
+
+def _pairs(max_total):
+    """Every pair of partitions (mu, nu) with |mu| + |nu| <= max_total."""
+    for a in range(max_total + 1):
+        for b in range(max_total - a + 1):
+            for mu in partitions(a):
+                for nu in partitions(b):
+                    yield mu, nu
+
+
+def _dominated(lam, kappa):
+    """lam <= kappa in dominance order (partitions of the same size)."""
+    return all(
+        sum(lam[:i]) <= sum(kappa[:i]) for i in range(1, max(len(lam), len(kappa)) + 1)
+    )
+
+
+class TestDominanceInterval:
+    def test_is_the_interval(self):
+        for mu, nu in _pairs(9):
+            union = tuple(sorted(mu + nu, reverse=True))
+            summed = tuple(
+                (mu[i] if i < len(mu) else 0) + (nu[i] if i < len(nu) else 0)
+                for i in range(max(len(mu), len(nu)))
+            )
+            expected = [
+                lam
+                for lam in partitions(sum(mu) + sum(nu))
+                if _dominated(union, lam) and _dominated(lam, summed)
+            ]
+            assert list(dominance_interval(mu, nu)) == expected, (mu, nu)
+
+    def test_lr_positive_shapes_agree_with_full_scan(self):
+        pairs = 0
+        for mu, nu in _pairs(12):
+            total = sum(mu) + sum(nu)
+            reference = [lam for lam in partitions(total) if lr_positive(lam, mu, nu)]
+            got = middle_candidates_between(
+                FgAbGroup.from_primary({2: mu}), FgAbGroup.from_primary({2: nu})
+            )
+            expected = sorted(FgAbGroup.from_primary({2: lam}) for lam in reference)
+            assert got == expected, (mu, nu)
+            pairs += 1
+        assert pairs == 3132
 
 
 class TestGroupsOfOrder:
@@ -68,6 +114,13 @@ class TestTableauPositivity:
 
     def test_weight_mismatch(self):
         assert not lr_positive((2,), (1,), (1, 1))
+
+    def test_long_columns(self):
+        # thousands of cells: the search must not depend on recursion depth
+        ones = (1,) * 2000
+        assert lr_positive((2, 2) + ones[:1998], (1, 1), ones)
+        assert lr_positive((1,) * 2002, (1, 1), ones)
+        assert not lr_positive((3,) + ones[:1999], (1, 1), ones)
 
 
 class TestBruteForceOracle:

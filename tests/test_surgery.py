@@ -2,6 +2,7 @@
 
 import pytest
 
+from cpsums import surgery, tables
 from cpsums.cohomotopy import pi_s0_connected_sum
 from cpsums.fgab import FgAbGroup
 from cpsums.surgery import (
@@ -168,6 +169,31 @@ class TestStructureSet:
             res = structure_set(k, 7)
             assert res.image_of_eta == res.pl_group
             assert res.pl_group == pl_over_o(k, 7)
+
+    def test_pl_order_mismatch_raises(self, monkeypatch):
+        # an explicit raise, so the check also holds under python -O; at
+        # n = 6 the image of eta is pi_s^0, which the PL/O table must match
+        real = tables.pl_over_o_entry
+
+        def wrong_entry(k, n):
+            entry = real(k, n)
+            return tables.TableEntry(
+                kind=entry.kind,
+                params=entry.params,
+                group=entry.group.direct_sum(Z2),
+                citation=entry.citation,
+            )
+
+        monkeypatch.setattr(tables, "pl_over_o_entry", wrong_entry)
+        with pytest.raises(ValueError, match="differs from"):
+            structure_set(2, 6)
+
+    def test_n4_half_count_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            surgery, "_resolved_cohomotopy", lambda k, n: (two_group(k), ())
+        )
+        with pytest.raises(ValueError, match="not half"):
+            structure_set(3, 4)
 
 
 class TestXiGenerators:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -239,6 +240,36 @@ class TestDataFileOverride:
         monkeypatch.setenv(tables.DATA_ENV, str(path))
         with pytest.raises(TableError):
             tables.stable_stem(6)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"params": {"n": 6}, "group": {"rank": 0, "torsion": [2]}, "citation": "c"}',
+             "needs a string 'kind'"),
+            ('{"kind": "stable_stem", "group": {"rank": 0, "torsion": [2]}, "citation": "c"}',
+             "object 'params'"),
+            ('[1, 2]', "expected a JSON object"),
+            ('"stable_stem"', "expected a JSON object"),
+            ('{"kind": "stable_stem", "params": {"n": "six"}, "citation": "c"}',
+             "not an integer"),
+            ('{"kind": "stable_stem", "params": {"n": 6.5}, "citation": "c"}',
+             "not an integer"),
+        ],
+    )
+    def test_malformed_record_refused(self, tmp_path, monkeypatch, line, message):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps(
+            {
+                "kind": "stable_stem",
+                "params": {"n": 8},
+                "group": {"rank": 0, "torsion": [2, 2]},
+                "citation": "fixture",
+            }
+        )
+        path.write_text(good + "\n" + line + "\n", encoding="utf-8")
+        monkeypatch.setenv(tables.DATA_ENV, str(path))
+        with pytest.raises(TableError, match=re.escape(f"{path}:2: ") + ".*" + message):
+            tables.stable_stem(8)
 
     def test_every_shipped_record_has_citation(self):
         assert os.environ.get(tables.DATA_ENV) is None
