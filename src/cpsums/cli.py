@@ -30,6 +30,10 @@ EXIT_AMBIGUOUS = 3
 
 INVARIANTS = ("pi-s0", "ko", "k0", "k-1", "f-o", "f-pl", "pl-o", "structure-set")
 
+# work and output grow linearly in k*n; at this size every verb finishes in
+# seconds, while k = 10**9 could not finish at all
+MAX_K_TIMES_N = 10**6
+
 
 def _emit(text: str):
     sys.stdout.write(text + "\n")
@@ -58,10 +62,17 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _check_size(k: int, n: int):
+    """Refuse, before computing anything, a k*n above MAX_K_TIMES_N."""
+    if k * n > MAX_K_TIMES_N:
+        raise SystemExit(_usage_error(f"k*n = {k * n} exceeds the limit {MAX_K_TIMES_N}"))
+
+
 def _cmd_compute(args) -> int:
     require_unique = args.require_unique
     k, n = args.k, args.n
     name = args.invariant
+    _check_size(k, n)
     payload: dict = {"invariant": name, "k": k, "n": n}
     ambiguous = False
     try:
@@ -214,6 +225,7 @@ def _cmd_classify(args) -> int:
 def _cmd_report(args) -> int:
     if args.sequence != "surgery":
         return _usage_error(f"unknown sequence {args.sequence!r}")
+    _check_size(args.k, args.n)
     try:
         rep = surgery.surgery_sequence_report(args.k, args.n)
     except (ValueError, LookupError) as exc:

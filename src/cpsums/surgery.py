@@ -278,10 +278,17 @@ def structure_set(k: int, n: int) -> StructureSetResult:
             "im(eta: S^t_Diff(#_k CP^7) -> N^t_Diff) is isomorphic to "
             "S^t_PL(#_k CP^7)"
         )
-    if n in (6, 7) and image.torsion_order() != pl.torsion_order():
+    if n == 6 and image.torsion_order() != pl.torsion_order():
         raise ValueError(
             f"|im(eta)| = {image.torsion_order()} differs from "
             f"|[#_k CP^n, PL/O]| = {pl.torsion_order()} for k={k}, n={n}"
+        )
+    # eta embeds the smooth set in the normal invariants, so by Lagrange its
+    # image order divides |pi_s^0|; the shipped data give index 2 at n = 7
+    if n == 7 and normal.torsion_order() % image.torsion_order():
+        raise ValueError(
+            f"|im(eta)| = {image.torsion_order()} does not divide "
+            f"|pi_s^0(#_k CP^n)| = {normal.torsion_order()} for k={k}, n={n}"
         )
     return StructureSetResult(
         k=k,

@@ -138,11 +138,15 @@ class TableEntry:
         )
 
 
+@lru_cache(maxsize=1)
 def _default_path() -> str:
+    # building the importlib.resources path costs about as much as a whole
+    # cached lookup, and the shipped file never moves during a run
     return str(resources.files("cpsums").joinpath("data/tables.jsonl"))
 
 
 def data_path() -> str:
+    """``FGAB_TABLES`` if set, read afresh on every call; else the shipped file."""
     return os.environ.get(DATA_ENV) or _default_path()
 
 

@@ -173,7 +173,7 @@ def tables_suite() -> SuiteReport:
 
 
 def sandwich_suite(k_range=(2, 3, 4), n_range=range(4, 12)) -> SuiteReport:
-    """Every KO table entry passes its exactness constraints."""
+    """Every connected-sum KO group passes its exactness constraints."""
     report = SuiteReport("sandwich")
     for s in range(8):
         for k in k_range:

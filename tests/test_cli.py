@@ -1,9 +1,11 @@
 """CLI behavior: verbs, flags, exit codes, JSON and text agreement."""
 
 import json
+import time
 
 import pytest
 
+from cpsums import cli
 from cpsums.cli import main
 from cpsums.fgab import FgAbGroup
 
@@ -238,3 +240,28 @@ class TestUsageErrors:
         code, out = run(capsys, "tables", "--kind", "wall_group")
         assert code == 0
         assert "Z_7" in out
+
+    def test_oversized_input_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(
+            ["compute", "--invariant", "ko", "--s", "0", "--k", "1000000000", "--n", "8"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert captured.out == ""
+        assert "exceeds the limit" in captured.err
+        code = main(["report", "--sequence", "surgery", "--k", "1000000000", "--n", "5"])
+        assert code == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_size_limit_is_on_k_times_n(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_K_TIMES_N", 12)
+        code, _ = run(capsys, "compute", "--invariant", "pi-s0", "--k", "4", "--n", "3")
+        assert code == 0
+        code, _ = run(capsys, "compute", "--invariant", "pi-s0", "--k", "5", "--n", "3")
+        assert code == 2
+        code, _ = run(capsys, "report", "--sequence", "surgery", "--k", "3", "--n", "4")
+        assert code == 0
+        code, _ = run(capsys, "report", "--sequence", "surgery", "--k", "4", "--n", "4")
+        assert code == 2

@@ -175,3 +175,150 @@ class TestSandwich:
         rep = verify_sandwich(3, 2, 7, group=FgAbGroup(0, (4,)))
         assert not rep.passed
         assert rep.violated == "torsion-order-divides"
+
+
+# Every (s, n mod 4) case with a printed basis, at k = 3: the exact labels in
+# canonical order (free classes first) and the relations they carry.
+FULL_BASES = {
+    (0, 4): (
+        [
+            "q*(eta_3^1)", "q*(eta_3^2)", "eta_1^1", "eta_2^1",
+        ],
+        [],
+    ),
+    (0, 5): (
+        [
+            "q*(eta_3^1)", "q*(eta_3^2)", "eta_1^1", "eta_1^2", "eta_2^1", "eta_2^2",
+            "q*(eta_3^3)",
+        ],
+        [
+            "2*q*(eta_3^3) = 0",
+        ],
+    ),
+    (0, 6): (
+        [
+            "q*(eta_3^1)", "q*(eta_3^2)", "q*(eta_3^3)", "eta_1^1", "eta_1^2",
+            "eta_2^1", "eta_2^2", "eta_1^3", "eta_2^3",
+        ],
+        [
+            "2*eta_1^3 = 0", "2*eta_2^3 = 0",
+        ],
+    ),
+    (0, 7): (
+        [
+            "q*(eta_3^1)", "q*(eta_3^2)", "q*(eta_3^3)", "eta_1^1", "eta_1^2",
+            "eta_1^3", "eta_2^1", "eta_2^2", "eta_2^3",
+        ],
+        [],
+    ),
+    (2, 4): (
+        [
+            "q*(alpha*eta_3^0)", "q*(alpha*eta_3^1)", "alpha*eta_1^0", "sigma_1",
+            "alpha*eta_2^0", "sigma_2",
+        ],
+        [
+            "2*sigma_1 = alpha*eta_1^1", "2*sigma_2 = alpha*eta_2^1",
+        ],
+    ),
+    (2, 5): (
+        [
+            "q*(alpha*eta_3^0)", "q*(alpha*eta_3^1)", "q*(alpha*eta_3^2)",
+            "alpha*eta_1^0", "alpha*eta_1^1", "alpha*eta_2^0", "alpha*eta_2^1",
+        ],
+        [],
+    ),
+    (2, 6): (
+        [
+            "q*(alpha*eta_3^0)", "q*(alpha*eta_3^1)", "q*(alpha*eta_3^2)",
+            "alpha*eta_1^0", "alpha*eta_1^1", "alpha*eta_1^2", "alpha*eta_2^0",
+            "alpha*eta_2^1", "alpha*eta_2^2",
+        ],
+        [],
+    ),
+    (2, 7): (
+        [
+            "q*(alpha*eta_3^0)", "q*(alpha*eta_3^1)", "q*(alpha*eta_3^2)",
+            "q*(sigma_3)", "alpha*eta_1^0", "alpha*eta_1^1", "alpha*eta_1^2",
+            "alpha*eta_2^0", "alpha*eta_2^1", "alpha*eta_2^2",
+        ],
+        [
+            "2*sigma_3 = alpha*eta_3^3",
+        ],
+    ),
+    (4, 4): (
+        [
+            "q*(beta*eta_3^0)", "q*(beta*eta_3^1)", "beta*eta_1^0", "beta*eta_2^0",
+            "beta*eta_1^1", "beta*eta_2^1",
+        ],
+        [
+            "2*beta*eta_1^1 = 0", "2*beta*eta_2^1 = 0",
+        ],
+    ),
+    (4, 5): (
+        [
+            "q*(beta*eta_3^0)", "q*(beta*eta_3^1)", "beta*eta_1^0", "beta*eta_1^1",
+            "beta*eta_2^0", "beta*eta_2^1",
+        ],
+        [],
+    ),
+    (4, 6): (
+        [
+            "q*(beta*eta_3^0)", "q*(beta*eta_3^1)", "q*(beta*eta_3^2)", "beta*eta_1^0",
+            "beta*eta_1^1", "beta*eta_2^0", "beta*eta_2^1",
+        ],
+        [],
+    ),
+    (4, 7): (
+        [
+            "q*(beta*eta_3^0)", "q*(beta*eta_3^1)", "q*(beta*eta_3^2)", "beta*eta_1^0",
+            "beta*eta_1^1", "beta*eta_1^2", "beta*eta_2^0", "beta*eta_2^1",
+            "beta*eta_2^2", "q*(beta*eta_3^3)",
+        ],
+        [
+            "2*beta*eta_3^3 = 0",
+        ],
+    ),
+    (6, 4): (
+        [
+            "q*(gamma*eta_3^0)", "q*(gamma*eta_3^1)", "gamma*eta_1^0", "gamma*eta_1^1",
+            "gamma*eta_2^0", "gamma*eta_2^1",
+        ],
+        [],
+    ),
+    (6, 5): (
+        [
+            "q*(gamma*eta_3^0)", "q*(gamma*eta_3^1)", "q*(tau_3)", "gamma*eta_1^0",
+            "gamma*eta_1^1", "gamma*eta_2^0", "gamma*eta_2^1",
+        ],
+        [
+            "2*tau_3 = gamma*eta_3^2",
+        ],
+    ),
+    (6, 6): (
+        [
+            "q*(gamma*eta_3^0)", "q*(gamma*eta_3^1)", "q*(gamma*eta_3^2)",
+            "gamma*eta_1^0", "gamma*eta_1^1", "tau_1", "gamma*eta_2^0",
+            "gamma*eta_2^1", "tau_2",
+        ],
+        [
+            "2*tau_1 = gamma*eta_1^2", "2*tau_2 = gamma*eta_2^2",
+        ],
+    ),
+    (6, 7): (
+        [
+            "q*(gamma*eta_3^0)", "q*(gamma*eta_3^1)", "q*(gamma*eta_3^2)",
+            "q*(gamma*eta_3^3)", "gamma*eta_1^0", "gamma*eta_1^1", "gamma*eta_1^2",
+            "gamma*eta_2^0", "gamma*eta_2^1", "gamma*eta_2^2",
+        ],
+        [],
+    ),
+}
+
+
+class TestKoFullBases:
+    @pytest.mark.parametrize("s,n", sorted(FULL_BASES))
+    def test_basis_and_relations(self, s, n):
+        basis, relations = FULL_BASES[(s, n)]
+        res = ko_group(s, 3, n)
+        assert [str(b) for b in res.basis] == basis
+        assert [b.relation for b in res.basis if b.relation] == relations

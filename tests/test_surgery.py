@@ -188,6 +188,23 @@ class TestStructureSet:
         with pytest.raises(ValueError, match="differs from"):
             structure_set(2, 6)
 
+    def test_n7_image_order_must_divide_normal_invariants(self, monkeypatch):
+        # at n = 7 the image of eta is the PL/O group, a subgroup of pi_s^0
+        real = tables.pl_over_o_entry
+
+        def wrong_entry(k, n):
+            entry = real(k, n)
+            return tables.TableEntry(
+                kind=entry.kind,
+                params=entry.params,
+                group=entry.group.direct_sum(FgAbGroup.cyclic(5)),
+                citation=entry.citation,
+            )
+
+        monkeypatch.setattr(tables, "pl_over_o_entry", wrong_entry)
+        with pytest.raises(ValueError, match=r"\|im\(eta\)\| = 120 does not divide .* = 48"):
+            structure_set(2, 7)
+
     def test_n4_half_count_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(
             surgery, "_resolved_cohomotopy", lambda k, n: (two_group(k), ())

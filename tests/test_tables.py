@@ -223,6 +223,15 @@ class TestDataFileOverride:
         with pytest.raises(UntabulatedDegree):
             tables.stable_stem(8)
 
+    def test_override_read_after_default_cached(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(tables.DATA_ENV, raising=False)
+        shipped = tables.data_path()
+        path = tmp_path / "tables.jsonl"
+        monkeypatch.setenv(tables.DATA_ENV, str(path))
+        assert tables.data_path() == str(path)
+        monkeypatch.delenv(tables.DATA_ENV)
+        assert tables.data_path() == shipped
+
     def test_citationless_file_refused(self, tmp_path, monkeypatch):
         path = tmp_path / "bad.jsonl"
         path.write_text(
