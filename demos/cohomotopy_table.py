@@ -28,7 +28,7 @@ seq = result.sequence
 print(f"  sequence: {seq.provenance}")
 print(f"  subterm:  {seq.sub}")
 print(f"  quotient: {seq.quot}")
-for f in result.filters_applied:
+for f in result.filters:
     print(f"  filter:   {f.describe()}")
 print(f"  resolved: {result.group}")
 

@@ -7,7 +7,8 @@ Core layers:
 - ``extensions``: classification of middle terms of short exact
   sequences, with a brute-force oracle and splitting filters;
 - ``tables``: citation-annotated input data (stable stems, single-copy
-  cohomotopy and K-groups, Wall groups);
+  cohomotopy and K-groups, Wall groups) and ``Result``, the record the
+  group-valued invariants return;
 - ``cohomotopy``, ``ktheory``, ``surgery``: the computed invariants of
   #_k CP^n (stable cohomotopy, K- and KO-groups, normal invariants,
   tangential structure sets and exotic-manifold counts);
@@ -40,12 +41,11 @@ from .extensions import (
     middle_candidates_between,
     resolve,
 )
-from .tables import GeneratorLabel, TableEntry, UntabulatedDegree
-from .cohomotopy import CohomotopyResult, build_sequence, pi_s0_connected_sum
-from .ktheory import KResult, complex_k0, complex_k_minus1, ko_group, verify_sandwich
+from .tables import GeneratorLabel, Result, TableEntry, UntabulatedDegree
+from .cohomotopy import build_sequence, pi_s0_connected_sum
+from .ktheory import complex_k0, complex_k_minus1, ko_group, verify_sandwich
 from .surgery import (
     AmbiguousUpstream,
-    NormalInvariantResult,
     StructureSetResult,
     f_over_o,
     f_over_pl,
@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousResult",
     "AmbiguousUpstream",
-    "CohomotopyResult",
     "DimensionMismatch",
     "EmptyAfterFiltering",
     "ExtensionSizeError",
@@ -69,8 +68,7 @@ __all__ = [
     "GeneratorLabel",
     "Homomorphism",
     "IntegerMatrix",
-    "KResult",
-    "NormalInvariantResult",
+    "Result",
     "ShortExactSequence",
     "SplittingFilter",
     "StructureSetResult",

@@ -22,13 +22,12 @@ from .extensions import (
 )
 from .fgab import FgAbGroup
 from .surgery import AmbiguousUpstream
+from .tables import Result
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_AMBIGUOUS = 3
-
-INVARIANTS = ("pi-s0", "ko", "k0", "k-1", "f-o", "f-pl", "pl-o", "structure-set")
 
 # work and output grow linearly in k*n; at this size every verb finishes in
 # seconds, while k = 10**9 could not finish at all
@@ -39,8 +38,8 @@ def _emit(text: str):
     sys.stdout.write(text + "\n")
 
 
-def _emit_json(payload: dict):
-    _emit(json.dumps(payload, ensure_ascii=False, sort_keys=True))
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True)
 
 
 def _group_payload(group: FgAbGroup | AmbiguousResult) -> dict:
@@ -68,81 +67,87 @@ def _check_size(k: int, n: int):
         raise SystemExit(_usage_error(f"k*n = {k * n} exceeds the limit {MAX_K_TIMES_N}"))
 
 
+def _ko(args):
+    if args.s is None:
+        raise ValueError("--invariant ko requires --s")
+    s = args.s % 8  # Bott periodicity: reduce at the CLI only
+    result = ktheory.ko_group(s, args.k, args.n)
+    return result, {
+        "s": s,
+        "basis": [str(b) for b in result.basis],
+        "relations": [b.relation for b in result.basis if b.relation],
+    }
+
+
+def _k0(args):
+    result = ktheory.complex_k0(args.k, args.n)
+    return result, {"basis": [str(b) for b in result.basis]}
+
+
+def _f_o(args):
+    result = surgery.f_over_o(args.k, args.n)
+    return result, {
+        "decomposition": {
+            "torsion": result.torsion.to_json(),
+            "torsion_source": "stable cohomotopy pi_s^0 of the connected sum",
+            "free_rank": result.free_rank,
+            "free_source": "free part of KO^0 (the kernel of the map to spherical fibrations)",
+        }
+    }
+
+
+def _pl_o(args):
+    entry = tables.pl_over_o_entry(args.k, args.n)
+    return Result(args.k, args.n, entry.group, (entry.citation,)), {"external": entry.external}
+
+
+def _structure_set(args):
+    res = surgery.structure_set(args.k, args.n)
+    extras = {
+        "pl_group": res.pl_group.to_json(),
+        "image_of_eta": res.image_of_eta.to_json(),
+        "exotic_count": res.exotic_count,
+        "derivation": res.derivation,
+    }
+    if res.note:
+        extras["note"] = res.note
+    return Result(res.k, res.n, res.smooth, res.citations), extras
+
+
+# invariant name -> args -> (Result, payload keys of that invariant only);
+# the names are the --invariant choices
+COMPUTE = {
+    "pi-s0": lambda args: (cohomotopy.pi_s0_connected_sum(args.k, args.n), {}),
+    "ko": _ko,
+    "k0": _k0,
+    "k-1": lambda args: (ktheory.complex_k_minus1(args.k, args.n), {}),
+    "f-o": _f_o,
+    "f-pl": lambda args: (surgery.f_over_pl(args.k, args.n), {}),
+    "pl-o": _pl_o,
+    "structure-set": _structure_set,
+}
+
+
 def _cmd_compute(args) -> int:
-    require_unique = args.require_unique
-    k, n = args.k, args.n
-    name = args.invariant
-    _check_size(k, n)
-    payload: dict = {"invariant": name, "k": k, "n": n}
-    ambiguous = False
+    _check_size(args.k, args.n)
+    payload: dict = {"invariant": args.invariant, "k": args.k, "n": args.n}
     try:
-        if name == "pi-s0":
-            result = cohomotopy.pi_s0_connected_sum(k, n)
-            payload.update(_group_payload(result.group))
-            payload["citations"] = list(result.citations)
-            ambiguous = result.is_ambiguous
-        elif name == "ko":
-            if args.s is None:
-                return _usage_error("--invariant ko requires --s")
-            s = args.s % 8  # Bott periodicity: reduce at the CLI only
-            result = ktheory.ko_group(s, k, n)
-            payload["s"] = s
-            payload.update(result.group.to_json())
-            payload["basis"] = [str(b) for b in result.basis]
-            payload["relations"] = [b.relation for b in result.basis if b.relation]
-            payload["citations"] = [result.citation]
-        elif name == "k0":
-            result = ktheory.complex_k0(k, n)
-            payload.update(result.group.to_json())
-            payload["basis"] = [str(b) for b in result.basis]
-            payload["citations"] = [result.citation]
-        elif name == "k-1":
-            result = ktheory.complex_k_minus1(k, n)
-            payload.update(result.group.to_json())
-            payload["citations"] = [result.citation]
-        elif name == "f-o":
-            result = surgery.f_over_o(k, n)
-            payload.update(result.group.to_json())
-            payload["decomposition"] = {
-                "torsion": result.torsion.to_json(),
-                "torsion_source": result.torsion_source,
-                "free_rank": result.free_rank,
-                "free_source": result.free_source,
-            }
-            payload["citations"] = list(result.citations)
-        elif name == "f-pl":
-            result = surgery.f_over_pl(k, n)
-            payload.update(result.group.to_json())
-            payload["citations"] = list(result.citations)
-        elif name == "pl-o":
-            entry = tables.pl_over_o_entry(k, n)
-            payload.update(entry.group.to_json())
-            payload["citations"] = [entry.citation]
-            payload["external"] = entry.external
-        elif name == "structure-set":
-            result = surgery.structure_set(k, n)
-            payload.update(result.smooth.to_json())
-            payload["pl_group"] = result.pl_group.to_json()
-            payload["image_of_eta"] = result.image_of_eta.to_json()
-            payload["exotic_count"] = result.exotic_count
-            payload["derivation"] = result.derivation
-            if result.note:
-                payload["note"] = result.note
-            payload["citations"] = list(result.citations)
-        else:
-            return _usage_error(f"unknown invariant {name!r}")
+        result, extras = COMPUTE[args.invariant](args)
     except AmbiguousUpstream as exc:
         payload["ambiguous_torsion"] = [g.to_json() for g in exc.candidates]
         payload["citations"] = [str(exc)]
-        ambiguous = True
     except (ValueError, LookupError) as exc:
         return _usage_error(str(exc))
-
-    if args.json:
-        _emit_json(payload)
     else:
-        _render_compute_text(payload)
-    if ambiguous and require_unique:
+        payload.update(_group_payload(result.group), citations=list(result.citations), **extras)
+    try:
+        # rendered whole before any write: an exotic count such as 2^20000
+        # is past Python's int-to-str digit limit, so formatting can fail
+        text = _dumps(payload) if args.json else _compute_text(payload)
+    except ValueError as exc:
+        return _usage_error(f"cannot print the result: {exc}")
+    _emit(text)
+    if args.require_unique and ("ambiguous" in payload or "ambiguous_torsion" in payload):
         return EXIT_AMBIGUOUS
     return EXIT_OK
 
@@ -151,37 +156,35 @@ def _format_group_json(record: dict) -> str:
     return str(FgAbGroup.from_json(record))
 
 
-def _render_compute_text(payload: dict):
+def _compute_text(payload: dict) -> str:
     head = f"{payload['invariant']}(k={payload['k']}, n={payload['n']}"
     if "s" in payload:
         head += f", s={payload['s']}"
     head += ")"
     if "ambiguous" in payload:
-        _emit(f"{head}: ambiguous between")
-        for record in payload["ambiguous"]:
-            _emit(f"  {_format_group_json(record)}")
+        lines = [f"{head}: ambiguous between"]
+        lines += [f"  {_format_group_json(r)}" for r in payload["ambiguous"]]
     elif "ambiguous_torsion" in payload:
-        _emit(f"{head}: torsion part ambiguous between")
-        for record in payload["ambiguous_torsion"]:
-            _emit(f"  {_format_group_json(record)}")
+        lines = [f"{head}: torsion part ambiguous between"]
+        lines += [f"  {_format_group_json(r)}" for r in payload["ambiguous_torsion"]]
     else:
         group = {"rank": payload["rank"], "torsion": payload["torsion"]}
-        _emit(f"{head} = {_format_group_json(group)}")
+        lines = [f"{head} = {_format_group_json(group)}"]
     if payload.get("basis"):
-        _emit("  basis: " + ", ".join(payload["basis"]))
+        lines.append("  basis: " + ", ".join(payload["basis"]))
     if payload.get("relations"):
-        _emit("  relations: " + "; ".join(payload["relations"]))
+        lines.append("  relations: " + "; ".join(payload["relations"]))
     if "exotic_count" in payload:
-        _emit(f"  exotic count: {payload['exotic_count']}")
-        _emit(f"  derivation: {payload['derivation']}")
+        lines.append(f"  exotic count: {payload['exotic_count']}")
+        lines.append(f"  derivation: {payload['derivation']}")
     if "decomposition" in payload:
         dec = payload["decomposition"]
-        _emit(
+        lines.append(
             f"  torsion {_format_group_json(dec['torsion'])} from {dec['torsion_source']}"
         )
-        _emit(f"  free rank {dec['free_rank']} from {dec['free_source']}")
-    for cite in payload.get("citations", []):
-        _emit(f"  [{cite}]")
+        lines.append(f"  free rank {dec['free_rank']} from {dec['free_source']}")
+    lines += [f"  [{cite}]" for cite in payload.get("citations", [])]
+    return "\n".join(lines)
 
 
 def _cmd_classify(args) -> int:
@@ -210,7 +213,7 @@ def _cmd_classify(args) -> int:
     }
     payload.update(_group_payload(outcome))
     if args.json:
-        _emit_json(payload)
+        _emit(_dumps(payload))
     elif isinstance(outcome, AmbiguousResult):
         _emit(f"0 -> {sub} -> G -> {quot} -> 0: ambiguous between")
         for g in outcome:
@@ -231,20 +234,19 @@ def _cmd_report(args) -> int:
     except (ValueError, LookupError) as exc:
         return _usage_error(str(exc))
     if args.json:
-        _emit_json(
-            {
-                "k": rep.k,
-                "n": rep.n,
-                "odd_wall": rep.odd_wall.to_json(),
-                "even_wall": rep.even_wall.to_json(),
-                "normal_invariants": rep.normal_invariants.to_json(),
-                "eta_injective": rep.eta_injective,
-                "obstruction_status": rep.obstruction_status,
-                "obstruction_image_order": rep.obstruction_image_order,
-                "image_of_eta": rep.image_of_eta.to_json(),
-                "citations": list(rep.citations),
-            }
-        )
+        payload = {
+            "k": rep.k,
+            "n": rep.n,
+            "odd_wall": rep.odd_wall.to_json(),
+            "even_wall": rep.even_wall.to_json(),
+            "normal_invariants": rep.normal_invariants.to_json(),
+            "eta_injective": rep.eta_injective,
+            "obstruction_status": rep.obstruction_status,
+            "obstruction_image_order": rep.obstruction_image_order,
+            "image_of_eta": rep.image_of_eta.to_json(),
+            "citations": list(rep.citations),
+        }
+        _emit(_dumps(payload))
     else:
         _emit(rep.render())
         for cite in rep.citations:
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     compute = sub.add_parser("compute", help="compute a tabulated or derived invariant")
-    compute.add_argument("--invariant", required=True, choices=INVARIANTS)
+    compute.add_argument("--invariant", required=True, choices=tuple(COMPUTE))
     compute.add_argument("--k", type=int, required=True)
     compute.add_argument("--n", type=int, required=True)
     compute.add_argument("--s", type=int, default=None, help="KO degree (Bott-reduced mod 8)")

@@ -12,32 +12,12 @@ as ambiguous rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tables
-from .extensions import (
-    AmbiguousResult,
-    ShortExactSequence,
-    SplittingFilter,
-    resolve,
-)
+from .extensions import ShortExactSequence, SplittingFilter, resolve
 from .fgab import FgAbGroup
+from .tables import Result
 
 N_RANGE = range(3, 9)
-
-
-@dataclass(frozen=True)
-class CohomotopyResult:
-    k: int
-    n: int
-    group: FgAbGroup | AmbiguousResult
-    sequence: ShortExactSequence
-    filters_applied: tuple[SplittingFilter, ...]
-    citations: tuple[str, ...]
-
-    @property
-    def is_ambiguous(self) -> bool:
-        return isinstance(self.group, AmbiguousResult)
 
 
 def _check_range(k: int, n: int):
@@ -114,7 +94,7 @@ _FILTER_CITATIONS = {
 }
 
 
-def pi_s0_connected_sum(k: int, n: int) -> CohomotopyResult:
+def pi_s0_connected_sum(k: int, n: int) -> Result:
     """pi_s^0(#_k CP^n): the resolved group, or both candidates for n = 8."""
     _check_range(k, n)
     seq = build_sequence(k, n)
@@ -127,14 +107,7 @@ def pi_s0_connected_sum(k: int, n: int) -> CohomotopyResult:
         citations.append(
             "the n = 8 sequence is not known to split; both middle terms are reported"
         )
-    return CohomotopyResult(
-        k=k,
-        n=n,
-        group=group,
-        sequence=seq,
-        filters_applied=filters,
-        citations=tuple(citations),
-    )
+    return Result(k, n, group, tuple(citations), sequence=seq, filters=filters)
 
 
 def expected_closed_form(k: int, n: int) -> FgAbGroup:

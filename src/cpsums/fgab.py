@@ -369,11 +369,9 @@ class FgAbGroup:
         return self.free_rank == 0
 
     def torsion_order(self) -> int:
-        return prod(self.invariant_factors)
-
-    def order(self) -> int | None:
-        """Group order, or None when the group is infinite."""
-        return None if self.free_rank else self.torsion_order()
+        # one power per run of equal factors: a product over thousands of
+        # factors one at a time costs time quadratic in their count
+        return prod(d ** len(list(run)) for d, run in groupby(self.invariant_factors))
 
     def exponent(self) -> int:
         """Exponent of the torsion subgroup (1 when torsion free)."""
@@ -563,15 +561,6 @@ class Homomorphism:
     @classmethod
     def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> "Homomorphism":
         return cls(domain, codomain, IntegerMatrix.zero(codomain.ngens, domain.ngens))
-
-    def apply(self, vector: tuple[int, ...]) -> tuple[int, ...]:
-        """Image of a coordinate vector (not reduced modulo torsion orders)."""
-        if len(vector) != self.domain.ngens:
-            raise DimensionMismatch("vector length does not match domain generators")
-        return tuple(
-            sum(row[j] * vector[j] for j in range(self.domain.ngens))
-            for row in self.matrix.entries
-        )
 
 
 def _quotient_of_spans(

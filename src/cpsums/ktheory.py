@@ -22,27 +22,7 @@ from dataclasses import dataclass
 
 from . import tables
 from .fgab import FgAbGroup, factorint
-from .tables import GeneratorLabel
-
-
-@dataclass(frozen=True)
-class KResult:
-    """A K-group with its symbolic basis."""
-
-    k: int
-    n: int
-    degree: int  # the group is K^{-degree} resp. KO^{-degree}
-    theory: str  # "KU" or "KO"
-    group: FgAbGroup
-    basis: tuple[GeneratorLabel, ...]
-    citation: str = ""
-
-    def __post_init__(self):
-        if self.basis and len(self.basis) != self.group.ngens:
-            raise ValueError(
-                f"basis lists {len(self.basis)} classes for a group "
-                f"with {self.group.ngens} summands"
-            )
+from .tables import GeneratorLabel, Result
 
 
 @dataclass(frozen=True)
@@ -57,7 +37,7 @@ class SandwichReport:
     citation: str
 
 
-def complex_k0(k: int, n: int) -> KResult:
+def complex_k0(k: int, n: int) -> Result:
     """Reduced K^0 of #_k CP^n: free of rank k(n-1)+1.
 
     Basis: the degree-one pullback d^*(omega) of the top sphere class and
@@ -69,31 +49,27 @@ def complex_k0(k: int, n: int) -> KResult:
     for i in range(1, k + 1):
         for j in range(1, n):
             labels.append(GeneratorLabel(symbol="eta", power=j, copy_index=i))
-    return KResult(
-        k=k,
-        n=n,
-        degree=0,
-        theory="KU",
-        group=FgAbGroup.free(k * (n - 1) + 1),
+    return Result(
+        k,
+        n,
+        FgAbGroup.free(k * (n - 1) + 1),
+        ("K^0 of the connected sum is free on one class per even cell: rank k(n-1)+1",),
         basis=tuple(labels),
-        citation="K^0 of the connected sum is free on one class per even cell: "
-        "rank k(n-1)+1",
     )
 
 
-def complex_k_minus1(k: int, n: int) -> KResult:
+def complex_k_minus1(k: int, n: int) -> Result:
     """Reduced K^-1 of #_k CP^n is trivial (both sphere and skeleton terms vanish)."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
-    return KResult(
-        k=k,
-        n=n,
-        degree=1,
-        theory="KU",
-        group=FgAbGroup.zero(),
-        citation="K^-1 of the connected sum vanishes: K^-1 of spheres of even "
-        "dimension and of CP^(n-1) both vanish",
-        basis=(),
+    return Result(
+        k,
+        n,
+        FgAbGroup.zero(),
+        (
+            "K^-1 of the connected sum vanishes: K^-1 of spheres of even "
+            "dimension and of CP^(n-1) both vanish",
+        ),
     )
 
 
@@ -167,21 +143,15 @@ def _sum_basis(s: int, top, rest, k: int) -> tuple[GeneratorLabel, ...]:
     return tuple(free + torsion)
 
 
-def ko_group(s: int, k: int, n: int) -> KResult:
+def ko_group(s: int, k: int, n: int) -> Result:
     """KO^{-s}(#_k CP^n) with its printed basis, for 0 <= s <= 7, k, n >= 2."""
     if not 0 <= s <= 7:
         raise ValueError(f"KO degree s must lie in 0..7, got {s}")
     if k < 2 or n < 2:
         raise ValueError(f"the connected-sum table needs k, n >= 2, got k={k}, n={n}")
     top, rest = _single_copies(s, k, n)
-    return KResult(
-        k=k,
-        n=n,
-        degree=s,
-        theory="KO",
-        group=_sum_group(top, rest, k),
-        basis=_sum_basis(s, top, rest, k),
-        citation=_CITATIONS[s],
+    return Result(
+        k, n, _sum_group(top, rest, k), (_CITATIONS[s],), basis=_sum_basis(s, top, rest, k)
     )
 
 

@@ -18,7 +18,7 @@ from .cohomotopy import pi_s0_connected_sum
 from .extensions import AmbiguousResult
 from .fgab import FgAbGroup
 from .ktheory import ko_group_formula_any_k
-from .tables import GeneratorLabel
+from .tables import GeneratorLabel, Result
 
 
 class AmbiguousUpstream(ValueError):
@@ -27,19 +27,6 @@ class AmbiguousUpstream(ValueError):
     def __init__(self, message: str, candidates: tuple[FgAbGroup, ...] = ()):
         super().__init__(message)
         self.candidates = candidates
-
-
-@dataclass(frozen=True)
-class NormalInvariantResult:
-    k: int
-    n: int
-    target: str  # "F/O", "F/PL", "PL/O", ...
-    group: FgAbGroup
-    torsion: FgAbGroup
-    free_rank: int
-    torsion_source: str
-    free_source: str
-    citations: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -93,7 +80,7 @@ def _resolved_cohomotopy(k: int, n: int) -> tuple[FgAbGroup, tuple[str, ...]]:
     return result.group, result.citations
 
 
-def f_over_o(k: int, n: int) -> NormalInvariantResult:
+def f_over_o(k: int, n: int) -> Result:
     """[#_k CP^n, F/O]: cohomotopy torsion plus a free part.
 
     Free rank: k*floor(n/2) for n odd, k*floor((n-1)/2) + 1 for n even;
@@ -104,16 +91,11 @@ def f_over_o(k: int, n: int) -> NormalInvariantResult:
         raise ValueError(f"needs k >= 1 and 3 <= n <= 8, got k={k}, n={n}")
     torsion, cites = _resolved_cohomotopy(k, n)
     rank = k * (n // 2) if n % 2 else k * ((n - 1) // 2) + 1
-    return NormalInvariantResult(
-        k=k,
-        n=n,
-        target="F/O",
-        group=torsion.direct_sum(FgAbGroup.free(rank)),
-        torsion=torsion,
-        free_rank=rank,
-        torsion_source="stable cohomotopy pi_s^0 of the connected sum",
-        free_source="free part of KO^0 (the kernel of the map to spherical fibrations)",
-        citations=cites
+    return Result(
+        k,
+        n,
+        torsion.direct_sum(FgAbGroup.free(rank)),
+        cites
         + (
             "[X, F/O] = pi_s^0(X) + Z^(k*floor(n/2)) for n odd, "
             "pi_s^0(X) + Z^(k*floor((n-1)/2)+1) for n even",
@@ -131,7 +113,7 @@ def kernel_f_star_rank(k: int, n: int) -> int:
     return ko_group_formula_any_k(0, k, n).free_rank
 
 
-def f_over_pl(k: int, n: int) -> NormalInvariantResult:
+def f_over_pl(k: int, n: int) -> Result:
     """[#_k CP^n, F/PL], closed form; only 2-torsion ever occurs.
 
     Z^(k*floor((n-1)/2)+1) + Z_2^(k*floor((n-1)/2)) for n even,
@@ -147,17 +129,11 @@ def f_over_pl(k: int, n: int) -> NormalInvariantResult:
     else:
         rank = k * (n // 2)
         two_torsion = k * (n // 2 - 1) + 1
-    torsion = FgAbGroup(0, tuple([2] * two_torsion))
-    return NormalInvariantResult(
-        k=k,
-        n=n,
-        target="F/PL",
-        group=torsion.direct_sum(FgAbGroup.free(rank)),
-        torsion=torsion,
-        free_rank=rank,
-        torsion_source="Kervaire-Arf classes, one per cell of dimension 2 mod 4",
-        free_source="index classes, one per cell of dimension 0 mod 4",
-        citations=(
+    return Result(
+        k,
+        n,
+        FgAbGroup(rank, (2,) * two_torsion),
+        (
             "[X, F/PL] = prod of L_{2j} over the even cells of X: "
             "Z per 4j-cell, Z_2 per (4j+2)-cell",
         ),

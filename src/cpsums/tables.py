@@ -8,6 +8,11 @@ Records without a citation are refused at load time.  Entries sourced
 from reference tables rather than pinned by the connected-sum analysis
 carry ``external: true`` so the test suites can tell them apart.
 
+``Result`` is the record in which pi_s^0, K, KO, [X, F/O] and [X, F/PL]
+of ``#_k CP^n`` are returned: the group (or its candidates), the
+citations it rests on and, where the computation has them, a basis, the
+short exact sequence and the splitting filters.
+
 The environment variable ``FGAB_TABLES`` overrides the data file path.
 """
 
@@ -18,8 +23,12 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .fgab import FgAbGroup
+
+if TYPE_CHECKING:
+    from .extensions import AmbiguousResult, ShortExactSequence, SplittingFilter
 
 DATA_ENV = "FGAB_TABLES"
 
@@ -136,6 +145,42 @@ class TableEntry:
             citation=rec.get("citation", ""),
             external=bool(rec.get("external", False)),
         )
+
+
+@dataclass(frozen=True)
+class Result:
+    """A group-valued invariant of #_k CP^n with the citations it rests on.
+
+    ``group`` is an ``AmbiguousResult`` when the sequence admits several
+    middle terms (pi_s^0 at n = 8).  ``basis``, when given, labels each
+    summand of ``group``; ``sequence`` and ``filters`` are the short exact
+    sequence and splitting filters the group was resolved from.
+    ``free_rank`` and ``torsion`` are read off ``group`` and need it to be
+    a single group.
+    """
+
+    k: int
+    n: int
+    group: FgAbGroup | AmbiguousResult
+    citations: tuple[str, ...]
+    basis: tuple[GeneratorLabel, ...] = ()
+    sequence: ShortExactSequence | None = None
+    filters: tuple[SplittingFilter, ...] = ()
+
+    def __post_init__(self):
+        if self.basis and len(self.basis) != self.group.ngens:
+            raise ValueError(
+                f"basis lists {len(self.basis)} classes for a group "
+                f"with {self.group.ngens} summands"
+            )
+
+    @property
+    def free_rank(self) -> int:
+        return self.group.free_rank
+
+    @property
+    def torsion(self) -> FgAbGroup:
+        return self.group.torsion()
 
 
 @lru_cache(maxsize=1)

@@ -265,3 +265,139 @@ class TestUsageErrors:
         assert code == 0
         code, _ = run(capsys, "report", "--sequence", "surgery", "--k", "4", "--n", "4")
         assert code == 2
+
+
+# Exact `--json` payloads, one per invariant plus one report, so that any
+# change to the serialised schema or values shows up as a failing test.
+PINNED_COMPUTE = {
+    ("pi-s0", "--k", "2", "--n", "8"): {
+        "ambiguous": [
+            {"rank": 0, "torsion": [2, 2, 2, 2, 2, 2]},
+            {"rank": 0, "torsion": [2, 2, 2, 2, 4]},
+        ],
+        "citations": [
+            "0 -> pi_16^s/im((Sigma h)^*) -> pi_s^0(#_k CP^8) -> "
+            "sum_(k-1) pi_s^0(CP^7) + ker(h^*) -> 0",
+            "the n = 8 sequence is not known to split; both middle terms are reported",
+        ],
+        "invariant": "pi-s0", "k": 2, "n": 8,
+    },
+    ("ko", "--s", "0", "--k", "2", "--n", "5"): {
+        "basis": ["q*(eta_2^1)", "q*(eta_2^2)", "eta_1^1", "eta_1^2", "q*(eta_2^3)"],
+        "citations": [
+            "KO^0 of the connected sum: free classes eta^j from each summand plus "
+            "an order-2 class per summand of dimension 4m+1 (on the distinguished "
+            "copy) or 4m+2 (on each of the other k-1 copies)"
+        ],
+        "invariant": "ko", "k": 2, "n": 5, "rank": 4,
+        "relations": ["2*q*(eta_2^3) = 0"], "s": 0, "torsion": [2],
+    },
+    ("k0", "--k", "2", "--n", "3"): {
+        "basis": ["d*(omega)", "eta_1^1", "eta_1^2", "eta_2^1", "eta_2^2"],
+        "citations": [
+            "K^0 of the connected sum is free on one class per even cell: rank k(n-1)+1"
+        ],
+        "invariant": "k0", "k": 2, "n": 3, "rank": 5, "torsion": [],
+    },
+    ("k-1", "--k", "2", "--n", "3"): {
+        "citations": [
+            "K^-1 of the connected sum vanishes: K^-1 of spheres of even dimension "
+            "and of CP^(n-1) both vanish"
+        ],
+        "invariant": "k-1", "k": 2, "n": 3, "rank": 0, "torsion": [],
+    },
+    ("f-o", "--k", "2", "--n", "5"): {
+        "citations": [
+            "0 -> pi_10^s/im((Sigma h)^*) -> pi_s^0(#_k CP^5) -> "
+            "sum_(k-1) pi_s^0(CP^4) + ker(h^*) -> 0",
+            "splits: the PL-normal-invariant comparison shows the torsion contains no Z_4",
+            "[X, F/O] = pi_s^0(X) + Z^(k*floor(n/2)) for n odd, "
+            "pi_s^0(X) + Z^(k*floor((n-1)/2)+1) for n even",
+        ],
+        "decomposition": {
+            "free_rank": 4,
+            "free_source": "free part of KO^0 (the kernel of the map to spherical fibrations)",
+            "torsion": {"rank": 0, "torsion": [2, 2, 2, 6]},
+            "torsion_source": "stable cohomotopy pi_s^0 of the connected sum",
+        },
+        "invariant": "f-o", "k": 2, "n": 5, "rank": 4, "torsion": [2, 2, 2, 6],
+    },
+    ("f-pl", "--k", "2", "--n", "4"): {
+        "citations": [
+            "[X, F/PL] = prod of L_{2j} over the even cells of X: "
+            "Z per 4j-cell, Z_2 per (4j+2)-cell"
+        ],
+        "invariant": "f-pl", "k": 2, "n": 4, "rank": 3, "torsion": [2, 2],
+    },
+    ("pl-o", "--k", "2", "--n", "7"): {
+        "citations": [
+            "[#_k CP^7, PL/O] = Z_2^(k+1) + Z_3^(k-1): index-2 subgroup of the "
+            "stable cohomotopy group, isomorphic on odd torsion"
+        ],
+        "external": True,
+        "invariant": "pl-o", "k": 2, "n": 7, "rank": 0, "torsion": [2, 2, 6],
+    },
+    ("structure-set", "--k", "1", "--n", "5"): {
+        "citations": [
+            "0 -> pi_10^s/im((Sigma h)^*) -> pi_s^0(#_k CP^5) -> "
+            "sum_(k-1) pi_s^0(CP^4) + ker(h^*) -> 0",
+            "splits: the PL-normal-invariant comparison shows the torsion contains no Z_4",
+            "[#_k CP^5, PL/O] = Z_2^(k+1) + Z_3 (connected-sum smoothing computation)",
+            "im(eta: S^t_Diff(#_k CP^5) -> N^t_Diff) = Z_2^(2k-1); "
+            "the obstruction map to L_10 is nonzero",
+        ],
+        "derivation": "out of domain at k = 1",
+        "exotic_count": None,
+        "image_of_eta": {"rank": 0, "torsion": [2]},
+        "invariant": "structure-set", "k": 1, "n": 5,
+        "note": "the 2^(k-2) count applies for k >= 2 only; no count is asserted at k = 1",
+        "pl_group": {"rank": 0, "torsion": [2, 6]},
+        "rank": 0, "torsion": [2],
+    },
+}
+
+PINNED_REPORT = {
+    "citations": [
+        "0 -> pi_10^s/im((Sigma h)^*) -> pi_s^0(#_k CP^5) -> "
+        "sum_(k-1) pi_s^0(CP^4) + ker(h^*) -> 0",
+        "splits: the PL-normal-invariant comparison shows the torsion contains no Z_4",
+        "the PL comparison over S^10 shows the obstruction is nonzero",
+        "the odd Wall group vanishes, so eta is injective",
+    ],
+    "eta_injective": True,
+    "even_wall": {"rank": 0, "torsion": [2]},
+    "image_of_eta": {"rank": 0, "torsion": [2, 2, 2]},
+    "k": 2, "n": 5,
+    "normal_invariants": {"rank": 0, "torsion": [2, 2, 2, 6]},
+    "obstruction_image_order": 2,
+    "obstruction_status": "nonzero",
+    "odd_wall": {"rank": 0, "torsion": []},
+}
+
+
+class TestPinnedPayloads:
+    @pytest.mark.parametrize("args", list(PINNED_COMPUTE), ids=lambda a: a[0])
+    def test_compute_json(self, capsys, args):
+        code, out = run(capsys, "compute", "--invariant", *args, "--json")
+        assert code == 0
+        assert json.loads(out) == PINNED_COMPUTE[args]
+
+    def test_report_json(self, capsys):
+        code, out = run(
+            capsys, "report", "--sequence", "surgery", "--k", "2", "--n", "5", "--json"
+        )
+        assert code == 0
+        assert json.loads(out) == PINNED_REPORT
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("n", ["4", "5"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_exotic_count_too_long_to_print(self, capsys, n, mode):
+        # 2^20000 has over 6,000 digits, past Python's int-to-str limit
+        code = main(["compute", "--invariant", "structure-set", "--k", "20000", "--n", n, *mode])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1

@@ -248,6 +248,13 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             FgAbGroup(-1, ())
 
+    def test_torsion_order_of_long_mixed_group(self):
+        g = FgAbGroup.from_primary(
+            {2: [1] * 3000 + [2] * 40 + [3], 3: [1] * 1500, 5: [2] * 7}, free_rank=9
+        )
+        assert g.torsion_order() == prod(g.invariant_factors)
+        assert g.torsion_order() == 2 ** (3000 + 80 + 3) * 3**1500 * 5**14
+
     def test_str(self):
         assert str(FgAbGroup.zero()) == "0"
         assert str(FgAbGroup(2, (2, 2, 6))) == "Z^2 + Z_2^2 + Z_6"
