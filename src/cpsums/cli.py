@@ -16,6 +16,7 @@ from . import cohomotopy, ktheory, surgery, tables, verify
 from .extensions import (
     AmbiguousResult,
     EmptyAfterFiltering,
+    OracleBudgetError,
     ShortExactSequence,
     SplittingFilter,
     resolve,
@@ -260,7 +261,7 @@ def _cmd_verify(args) -> int:
         reports = verify.run_suites(
             names, seed=args.seed, max_order=args.max_order, cases=args.cases
         )
-    except (ValueError, LookupError) as exc:
+    except (ValueError, LookupError, OracleBudgetError) as exc:
         return _usage_error(str(exc))
     failed = False
     for rep in reports:

@@ -44,6 +44,9 @@ class EmptyAfterFiltering(ValueError):
 
 
 ORACLE_ORDER_LIMIT = 2**12
+# work units for one subgroup census: coset elements walked plus
+# translation-row entries built
+ORACLE_BUDGET = 80_000_000
 
 
 def partitions(n: int):
@@ -244,89 +247,139 @@ def _subgroup_census(p: int, lam: tuple[int, ...]) -> frozenset:
     """Every (subgroup type, quotient type) realized inside the p-group
     of type lam, by exhaustive subgroup enumeration.
 
-    Subgroups are grown one cyclic generator at a time with set closure
-    and deduplicated as bitmasks over the element list.  A type is
-    recorded as its kill-count vector (|H[p^j]| for j = 1..max(lam)),
-    which pins down an abelian p-group of exponent <= p^max(lam).
+    Elements are the integers 0..N-1 (mixed radix over the cyclic
+    factors, 0 the identity); subgroups are bitmasks over them, grown
+    one cyclic generator at a time and deduplicated in a `seen` set.
+    The inner loop works on integer tables only:
+
+    (a) translation rows: shift[g][i] is the index of element i + g.  A
+        row is built, and N charged to the budget, the first time g is
+        used as a generator; there is one candidate g per cyclic
+        subgroup and never a full N x N table.
+    (b) coset walk: H + <g> is the union of the cosets m*g + H, each one
+        the previous coset translated by shift[g], up to the first m
+        with m*g in H.  That m is d, the number of cosets.
+    (c) generator skip: <g' + H> = <g + H> in G/H iff g' + H = m(g + H)
+        with gcd(m, d) = 1, and then H + <g'> = H + <g>.  So for a fixed
+        H every g' in such a coset is skipped once H + <g> is built.
+
+    The skip only uses the cyclic structure of G/H; every subgroup is
+    still reached by closure and checked element by element, so the
+    census stays independent of Littlewood-Richardson and Hall theory.
+
+    A type is recorded as its kill-count vector (|H[p^j]| for j = 1..
+    max(lam)), which pins down an abelian p-group of exponent <=
+    p^max(lam).  The quotient's vector is |G[c]| * |H & cG| / |H| for
+    c = p^j, since x -> cx maps G onto cG with kernel G[c], so exactly
+    |G[c]| * |H & cG| elements x have cx in H.
     """
     if not lam:
         return frozenset({((), ())})
     orders = tuple(p**e for e in lam)
     elements = list(product(*(range(o) for o in orders)))
     total = len(elements)
-    index = {vec: i for i, vec in enumerate(elements)}
-    zero = index[tuple(0 for _ in orders)]
+    strides = [prod(orders[i + 1 :]) for i in range(len(orders))]
 
-    def add_idx(i: int, j: int) -> int:
-        x, y = elements[i], elements[j]
-        return index[tuple((a + b) % o for a, b, o in zip(x, y, orders))]
+    def index(vec) -> int:
+        return sum(a % o * s for a, o, s in zip(vec, orders, strides))
 
-    checkpoints = [p**j for j in range(1, lam[0] + 1)]
-    kill_masks = []
-    cmul = []
-    for c in checkpoints:
-        mask = 0
-        table = []
-        for i, vec in enumerate(elements):
-            ci = index[tuple((c * a) % o for a, o in zip(vec, orders))]
-            table.append(ci)
-            if ci == zero:
-                mask |= 1 << i
-        kill_masks.append(mask)
-        cmul.append(table)
+    def mask_of(items) -> int:
+        out = 0
+        for i in items:
+            out |= 1 << i
+        return out
+
+    def indices(columns) -> list[int]:
+        """Indices, in element order, of the vectors whose coordinate j
+        runs over columns[j]."""
+        out = [0]
+        for o, column in zip(orders, columns):
+            out = [x * o + y for x in out for y in column]
+        return out
+
+    # G[c] = {x : cx = 0} and cG, for c = p^j: a coordinate in Z_o is
+    # killed by c iff it is a multiple of o / gcd(c, o), and lies in cZ_o
+    # iff it is a multiple of gcd(c, o)
+    kill_masks, kill_sizes, image_masks = [], [], []
+    for j in range(1, lam[0] + 1):
+        c = p**j
+        killed = indices([range(0, o, o // gcd(c, o)) for o in orders])
+        kill_masks.append(mask_of(killed))
+        kill_sizes.append(len(killed))
+        image_masks.append(mask_of(indices([range(0, o, gcd(c, o)) for o in orders])))
 
     # one candidate generator per cyclic subgroup: closure only depends
     # on the cyclic subgroup generated, so skip the other generators
-    covered = set()
+    covered = bytearray(total)
     candidates = []
-    for i in range(total):
-        if i == zero or i in covered:
+    for i in range(1, total):
+        if covered[i]:
             continue
         candidates.append(i)
-        ord_i = _element_order(elements[i], orders)
-        x = i
-        for j in range(1, ord_i):
-            x = add_idx(x, i)
-            if gcd(j + 1, ord_i) == 1:
-                covered.add(x)
+        vec = elements[i]
+        ord_i = _element_order(vec, orders)
+        for m in range(2, ord_i):
+            if gcd(m, ord_i) == 1:
+                covered[index([m * a for a in vec])] = 1
 
-    budget = _Budget(80_000_000)
+    budget = _Budget(ORACLE_BUDGET)
+    rows: dict[int, list[int]] = {}
 
-    def closure(mask: int, members: tuple[int, ...], g: int):
+    def shift_row(g: int) -> list[int]:
+        row = rows.get(g)
+        if row is None:
+            budget.spend(total)
+            row = indices(
+                [[(b + a) % o for b in range(o)] for a, o in zip(elements[g], orders)]
+            )
+            rows[g] = row
+        return row
+
+    def closure(mask: int, members: list[int], g: int):
+        """H + <g> as (mask, members), and the mask of the cosets
+        m*g + H with gcd(m, d) = 1, whose elements all generate it."""
+        shift = shift_row(g)
         out = mask
         out_members = list(members)
+        coset_masks = []
+        coset = members
         x = g
         while not (mask >> x) & 1:
             budget.spend(len(members))
-            for s in members:
-                t = add_idx(s, x)
-                if not (out >> t) & 1:
-                    out |= 1 << t
-                    out_members.append(t)
-            x = add_idx(x, g)
-        return out, tuple(out_members)
+            coset = [shift[s] for s in coset]
+            cm = mask_of(coset)
+            coset_masks.append(cm)
+            out |= cm
+            out_members += coset
+            x = shift[x]
+        d = len(coset_masks) + 1
+        same = 0
+        for m, cm in enumerate(coset_masks, start=1):
+            if gcd(m, d) == 1:
+                same |= cm
+        return out, out_members, same
 
-    def type_pair(mask: int, members: tuple[int, ...]):
-        size = len(members)
-        member_set = set(members)
+    def type_pair(mask: int, size: int):
         sub_type = tuple((mask & km).bit_count() for km in kill_masks)
-        quot_type = []
-        for table in cmul:
-            killed = sum(1 for i in range(total) if table[i] in member_set)
-            quot_type.append(killed // size)
-        return sub_type, tuple(quot_type)
+        quot_type = tuple(
+            ks * (mask & im).bit_count() // size
+            for ks, im in zip(kill_sizes, image_masks)
+        )
+        return sub_type, quot_type
 
-    start = (1 << zero, (zero,))
-    seen = {start[0]}
-    stack = [start]
+    trivial = 1  # the bitmask of {0}
+    seen = {trivial}
+    stack = [(trivial, [0])]
     census = set()
     while stack:
         mask, members = stack.pop()
-        census.add(type_pair(mask, members))
+        census.add(type_pair(mask, len(members)))
+        skip = mask
         for g in candidates:
-            if (mask >> g) & 1:
+            if (skip >> g) & 1:
                 continue
-            bigger, bigger_members = closure(mask, members, g)
+            bigger, bigger_members, same = closure(mask, members, g)
+            skip |= same
             if bigger not in seen:
                 seen.add(bigger)
                 stack.append((bigger, bigger_members))

@@ -9,6 +9,7 @@ this module.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, zip_longest
 from math import gcd, prod
@@ -328,16 +329,19 @@ class FgAbGroup:
 
     @classmethod
     def from_cyclic_orders(cls, *orders: int) -> "FgAbGroup":
-        """Canonical form of a direct sum of cyclic groups (0 means Z)."""
+        """Canonical form of a direct sum of cyclic groups (0 means Z).
+
+        Each distinct order is factored once; connected sums list the
+        same few orders k times over.
+        """
         rank = 0
         primary: dict[int, list[int]] = {}
-        for n in orders:
-            n = abs(int(n))
+        for n, count in Counter(abs(int(n)) for n in orders).items():
             if n == 0:
-                rank += 1
+                rank += count
             elif n > 1:
                 for p, e in factorint(n).items():
-                    primary.setdefault(p, []).append(e)
+                    primary.setdefault(p, []).extend([e] * count)
         return cls.from_primary(primary, free_rank=rank)
 
     @classmethod

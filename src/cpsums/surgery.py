@@ -199,7 +199,14 @@ def structure_set(k: int, n: int) -> StructureSetResult:
     """
     if k < 1 or not 3 <= n <= 7:
         raise ValueError(f"needs k >= 1 and 3 <= n <= 7, got k={k}, n={n}")
-    normal, cites = _resolved_cohomotopy(k, n)
+    return _structure_set(k, n, *_resolved_cohomotopy(k, n))
+
+
+def _structure_set(
+    k: int, n: int, normal: FgAbGroup, cites: tuple[str, ...]
+) -> StructureSetResult:
+    """`structure_set` from an already resolved pi_s^0(#_k CP^n) and its
+    citations, so a caller that needs the group too resolves it once."""
     pl_entry = tables.pl_over_o_entry(k, n)
     pl = pl_entry.group
     citations = list(cites) + [pl_entry.citation]
@@ -301,7 +308,7 @@ def surgery_sequence_report(k: int, n: int) -> SurgerySequenceReport:
     even = tables.wall_group(2 * n)
     status, why = _OBSTRUCTION_STATUS[n]
     image_order = 1 if status == "zero" else 2
-    sset = structure_set(k, n)
+    sset = _structure_set(k, n, normal, cites)
     return SurgerySequenceReport(
         k=k,
         n=n,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from . import cohomotopy, ktheory, surgery, tables
 from .extensions import (
+    ORACLE_ORDER_LIMIT,
     all_abelian_groups_of_order,
     brute_force_middle_terms,
     middle_candidates_between,
@@ -247,6 +248,13 @@ def run_suites(
     max_order: int = 64,
     cases: int = 1000,
 ) -> list[SuiteReport]:
+    """Run the named suites; refuse out-of-range options before any work."""
+    if not 1 <= max_order <= ORACLE_ORDER_LIMIT:
+        raise ValueError(
+            f"max order must be in 1..{ORACLE_ORDER_LIMIT}, got {max_order}"
+        )
+    if cases < 1:
+        raise ValueError(f"case count must be at least 1, got {cases}")
     reports = []
     for name in names:
         if name == "snf":

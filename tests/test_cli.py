@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cpsums import cli
+from cpsums import cli, extensions, verify
 from cpsums.cli import main
 from cpsums.fgab import FgAbGroup
 
@@ -190,6 +190,44 @@ class TestVerifyVerb:
     def test_oracle_suite_small(self, capsys):
         code, out = run(capsys, "verify", "--suite", "oracle", "--max-order", "16")
         assert code == 0 and "[ok]" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "oracle", "--max-order", "5000"),
+            ("--suite", "oracle", "--max-order", "0"),
+            ("--suite", "all", "--max-order", "-3"),
+            ("--suite", "snf", "--cases", "-5"),
+            ("--suite", "snf", "--cases", "0"),
+        ],
+    )
+    def test_bad_options_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_largest_max_order_accepted(self):
+        # the bound itself passes validation; a cheap suite shows it
+        reports = verify.run_suites(
+            ["tables"], max_order=extensions.ORACLE_ORDER_LIMIT, cases=1
+        )
+        assert reports[0].ok
+
+    def test_budget_exhausted_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(extensions, "ORACLE_BUDGET", 100)
+        # a census cached by an earlier test would spend nothing
+        extensions._subgroup_census.cache_clear()
+        start = time.perf_counter()
+        code = main(["verify", "--suite", "oracle", "--max-order", "8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert captured.out == ""
+        assert captured.err == "error: subgroup enumeration budget exhausted\n"
 
 
 class TestTablesVerb:

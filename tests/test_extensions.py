@@ -1,13 +1,16 @@
 """Middle-term classification versus the brute-force subgroup oracle."""
 
 import random
+import time
 
 import pytest
 
+from cpsums import extensions
 from cpsums.extensions import (
     AmbiguousResult,
     EmptyAfterFiltering,
     ExtensionSizeError,
+    OracleBudgetError,
     ShortExactSequence,
     SplittingFilter,
     all_abelian_groups_of_order,
@@ -212,10 +215,38 @@ class TestOracleEquivalence:
             (FgAbGroup.cyclic(2048), FgAbGroup.cyclic(2)),
             (FgAbGroup.cyclic(16), FgAbGroup.cyclic(8)),
             (FgAbGroup.cyclic(49), FgAbGroup.cyclic(7)),
+            (FgAbGroup.from_cyclic_orders(2, 4), FgAbGroup.from_cyclic_orders(2, 2, 4)),
+            (elementary(3, 2), elementary(3, 3)),
         ]
         for a, b in samples:
             assert a.torsion_order() * b.torsion_order() <= 4096
             assert middle_candidates_between(a, b) == brute_force_middle_terms(a, b)
+
+
+class TestOracleBudget:
+    def test_exhausted_budget_raises_and_caches_nothing(self, monkeypatch):
+        # at the default budget this census runs for about a minute
+        a, b = elementary(2, 3), elementary(2, 5)
+        extensions._subgroup_census.cache_clear()
+        monkeypatch.setattr(extensions, "ORACLE_BUDGET", 10_000)
+        # the second call must fail the same way, not find a partial census
+        for _ in range(2):
+            start = time.perf_counter()
+            with pytest.raises(OracleBudgetError):
+                brute_force_middle_terms(a, b)
+            assert time.perf_counter() - start < 1.0
+        monkeypatch.undo()
+        small = elementary(2, 2)
+        assert brute_force_middle_terms(Z2, small) == middle_candidates_between(Z2, small)
+
+    def test_translation_rows_are_charged(self, monkeypatch):
+        # the census of Z_2 walks one coset of size 1 and builds one row of 2
+        extensions._subgroup_census.cache_clear()
+        monkeypatch.setattr(extensions, "ORACLE_BUDGET", 2)
+        with pytest.raises(OracleBudgetError):
+            extensions._subgroup_census(2, (1,))
+        monkeypatch.setattr(extensions, "ORACLE_BUDGET", 3)
+        assert extensions._subgroup_census(2, (1,)) == {((1,), (2,)), ((2,), (1,))}
 
 
 class TestResolve:

@@ -7,6 +7,7 @@ from math import gcd, lcm, prod
 
 import pytest
 
+from cpsums import fgab
 from cpsums.fgab import (
     DimensionMismatch,
     FgAbGroup,
@@ -14,6 +15,7 @@ from cpsums.fgab import (
     IntegerMatrix,
     direct_sum,
     ext1,
+    factorint,
     group_from_relations,
     has_element_of_order,
     hom_cokernel,
@@ -258,6 +260,24 @@ class TestCanonicalForm:
     def test_str(self):
         assert str(FgAbGroup.zero()) == "0"
         assert str(FgAbGroup(2, (2, 2, 6))) == "Z^2 + Z_2^2 + Z_6"
+
+
+class TestFromCyclicOrders:
+    def test_repeated_orders_factored_once(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factorint(n)
+
+        monkeypatch.setattr(fgab, "factorint", counting)
+        got = FgAbGroup.from_cyclic_orders(*([12] * 5000), 0, 0)
+        assert got == FgAbGroup.from_primary({2: [2] * 5000, 3: [1] * 5000}, free_rank=2)
+        assert calls == [12]
+
+    def test_mixed_orders(self):
+        got = FgAbGroup.from_cyclic_orders(6, 4, 6, 1, 0, -9, 4)
+        assert got == FgAbGroup(1, (2, 6, 12, 36))
 
 
 class TestLocalization:

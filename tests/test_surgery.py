@@ -261,3 +261,16 @@ class TestSurgerySequenceReport:
     def test_render_mentions_sequence(self):
         text = surgery_sequence_report(2, 5).render()
         assert "L_11" in text and "L_10" in text and "S^t_Diff" in text
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_cohomotopy_resolved_once(self, monkeypatch, n):
+        calls = []
+
+        def counting(k, n):
+            calls.append((k, n))
+            return pi_s0_connected_sum(k, n)
+
+        monkeypatch.setattr(surgery, "pi_s0_connected_sum", counting)
+        rep = surgery_sequence_report(3, n)
+        assert calls == [(3, n)]
+        assert rep.image_of_eta == structure_set(3, n).image_of_eta
