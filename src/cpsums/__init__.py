@@ -20,14 +20,11 @@ from .fgab import (
     FgAbGroup,
     Homomorphism,
     IntegerMatrix,
-    direct_sum,
     ext1,
     group_from_relations,
-    has_element_of_order,
     hom_cokernel,
     hom_image,
     hom_kernel,
-    localize_at_prime,
     smith_normal_form,
 )
 from .extensions import (
@@ -78,19 +75,16 @@ __all__ = [
     "build_sequence",
     "complex_k0",
     "complex_k_minus1",
-    "direct_sum",
     "ext1",
     "f_over_o",
     "f_over_pl",
     "group_from_relations",
-    "has_element_of_order",
     "hom_cokernel",
     "hom_image",
     "hom_kernel",
     "image_c_star_generators",
     "kernel_f_star_rank",
     "ko_group",
-    "localize_at_prime",
     "middle_candidates",
     "middle_candidates_between",
     "pi_s0_connected_sum",

@@ -524,9 +524,12 @@ class SplittingFilter:
 class ShortExactSequence:
     """Record of 0 -> sub -> middle -> quot -> 0 with middle optional.
 
-    An asserted middle is validated: by the brute-force oracle when the
-    torsion is small enough, by rank and torsion-order accounting
-    otherwise.
+    An asserted middle is validated by rank and torsion-order
+    accounting and, when sub and quot are finite, by membership in
+    `middle_candidates_between`, the route `middle_candidates` takes.
+    That test is polynomial at any order; the subgroup census of the
+    oracle is not, and acceptance criterion 4 checks the LR route
+    against it.
     """
 
     sub: FgAbGroup
@@ -545,13 +548,8 @@ class ShortExactSequence:
             != self.sub.torsion_order() * self.quot.torsion_order()
         ):
             raise ValueError("middle term has the wrong torsion order")
-        if (
-            self.sub.is_finite
-            and self.quot.is_finite
-            and self.sub.torsion_order() * self.quot.torsion_order()
-            <= ORACLE_ORDER_LIMIT
-        ):
-            if g not in brute_force_middle_terms(self.sub, self.quot):
+        if self.sub.is_finite and self.quot.is_finite:
+            if g not in middle_candidates_between(self.sub, self.quot):
                 raise ValueError(
                     f"{g} is not a middle term of the sequence "
                     f"0 -> {self.sub} -> G -> {self.quot} -> 0"

@@ -115,27 +115,8 @@ class IntegerMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, minor, sign = _bareiss([list(r) for r in self.entries])
+        return sign * minor if rank == self.rows else 0
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.determinant()) == 1
@@ -150,13 +131,6 @@ class IntegerMatrix:
             "cols": self.cols,
             "entries": [[str(x) for x in row] for row in self.entries],
         }
-
-    @classmethod
-    def from_json(cls, record: dict) -> "IntegerMatrix":
-        m = cls([[int(x) for x in row] for row in record["entries"]], cols=record["cols"])
-        if m.rows != record["rows"]:
-            raise DimensionMismatch("row count does not match entries")
-        return m
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
@@ -175,68 +149,131 @@ class IntegerMatrix:
         return "\n".join(" ".join(f"{x:4d}" for x in row) for row in self.entries)
 
 
-def smith_normal_form(
-    m: IntegerMatrix,
-) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Return (u, d, v) with u*m*v = d, u and v unimodular, d diagonal.
+def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of the rows ``a``, in place.
 
-    The diagonal is nonnegative and forms a divisibility chain
-    d1 | d2 | ... .  Pivots are chosen by least absolute value and all
-    arithmetic is exact, so the routine is total on any integer matrix,
-    including empty ones.
+    Each pivot is searched down the current column first and then in
+    later columns, so the pass also finds the rank of a singular or
+    rectangular matrix.  Returns ``(rank, minor, sign)``: ``minor`` is
+    the last pivot, which is the determinant of a nonsingular
+    ``rank x rank`` submatrix (1 when the rank is 0), and ``sign`` is
+    the parity of the row and column swaps.
     """
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    sign = 1
+    prev = 1
+    for k in range(min(nr, nc)):
+        pr, pc = next(
+            ((i, j) for j in range(k, nc) for i in range(k, nr) if a[i][j]),
+            (-1, -1),
+        )
+        if pr < 0:
+            return k, prev, sign
+        if pr != k:
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        if pc != k:
+            for row in a:
+                row[k], row[pc] = row[pc], row[k]
+            sign = -sign
+        top = a[k]
+        p = top[k]
+        for i in range(k + 1, nr):
+            row = a[i]
+            x = row[k]
+            for j in range(k + 1, nc):
+                row[j] = (row[j] * p - x * top[j]) // prev
+            row[k] = 0
+        prev = p
+    return min(nr, nc), prev, sign
+
+
+def _diagonalize(a, nr, nc, stop, modulus=0) -> int:
+    """Least-pivot Smith elimination of the top-left ``nr x nc`` block of ``a``.
+
+    Step t moves the least nonzero entry of the trailing block to
+    (t, t), clears its row and column by division with remainder and
+    makes it divide the trailing block, so the diagonal forms a
+    divisibility chain.  Row operations act on whole rows among the
+    first ``nr`` and column operations on whole columns, so identities
+    appended to the right of the block and below it record the
+    transforms.  With a ``modulus`` D every entry is kept as a residue
+    in (-D/2, D/2], and a unit, scaled to 1, is the pivot whenever the
+    trailing block has one.  Works in place and returns the number of
+    steps made before the trailing block was zero or ``stop`` steps
+    were done.
+    """
+    half = modulus // 2
+    # Before step t, rows and columns 0..t-1 of the block are zero off the
+    # diagonal, so every operation below starts at row or column t.
 
     def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
+        a[i], a[j] = a[j], a[i]
 
     def swap_cols(i, j):
         if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
+            for row in a[t:]:
                 row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
-        if q:
-            arow, srow = a[dst], a[src]
-            for idx in range(nc):
-                arow[idx] += q * srow[idx]
-            urow, usrc = u[dst], u[src]
-            for idx in range(nr):
-                urow[idx] += q * usrc[idx]
+        if not q:
+            return
+        pairs = zip(a[dst][t:], a[src][t:])
+        if modulus:
+            a[dst][t:] = [
+                x - modulus if (x := (y + q * z) % modulus) > half else x
+                for y, z in pairs
+            ]
+        else:
+            a[dst][t:] = [y + q * z for y, z in pairs]
 
     def add_col(dst, src, q):
-        if q:
-            for row in a:
-                row[dst] += q * row[src]
-            for row in v:
-                row[dst] += q * row[src]
+        if not q:
+            return
+        if modulus:
+            for row in a[t:]:
+                if row[src]:
+                    x = (row[dst] + q * row[src]) % modulus
+                    row[dst] = x - modulus if x > half else x
+        else:
+            for row in a[t:]:
+                if row[src]:
+                    row[dst] += q * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+
+    if modulus:
+        # every unit ranks first: scaled to 1, it clears its row and
+        # column without a remainder
+        def size(x):
+            return 1 if gcd(x, modulus) == 1 else modulus + abs(x)
+    else:
+        size = abs
+
+    def pivot():
+        """(size, row, column) of the first least nonzero entry from (t, t) on."""
+        best = None
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                if row[j] and (best is None or size(row[j]) < best[0]):
+                    best = (size(row[j]), i, j)
+                    if best[0] == 1:
+                        return best
+        return best
 
     t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        best = None
-        pr = pc = -1
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pr, pc = i, j
+    while t < stop:
+        best = pivot()
         if best is None:
             break
-        swap_rows(t, pr)
-        swap_cols(t, pc)
+        swap_rows(t, best[1])
+        swap_cols(t, best[2])
+        if modulus and best[0] == 1:
+            # row t times the inverse of its pivot: (1 + q) * row = row / pivot
+            add_row(t, t, pow(a[t][t], -1, modulus) - 1)
         while True:
             if a[t][t] < 0:
                 negate_row(t)
@@ -262,6 +299,8 @@ def smith_normal_form(
                 continue
             # pivot must divide the trailing submatrix for the chain property
             p = a[t][t]
+            if p == 1:
+                break
             dirty = False
             for i in range(t + 1, nr):
                 row = a[i]
@@ -275,10 +314,29 @@ def smith_normal_form(
             if not dirty:
                 break
         t += 1
+    return t
+
+
+def smith_normal_form(
+    m: IntegerMatrix,
+) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+    """Return (u, d, v) with u*m*v = d, u and v unimodular, d diagonal.
+
+    The diagonal is nonnegative and forms a divisibility chain
+    d1 | d2 | ... .  Pivots are chosen by least absolute value and all
+    arithmetic is exact, so the routine is total on any integer matrix,
+    including empty ones.  It is the only routine here that builds
+    transforms; callers that need only the diagonal or a kernel use
+    ``group_from_relations`` or ``integer_kernel``.
+    """
+    nr, nc = m.rows, m.cols
+    a = [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(m.entries)]
+    a += [[int(i == j) for j in range(nc)] for i in range(nc)]
+    _diagonalize(a, nr, nc, min(nr, nc))
     return (
-        IntegerMatrix(u, cols=nr),
-        IntegerMatrix(a, cols=nc),
-        IntegerMatrix(v, cols=nc),
+        IntegerMatrix([row[nc:] for row in a[:nr]], cols=nr),
+        IntegerMatrix([row[:nc] for row in a[:nr]], cols=nc),
+        IntegerMatrix(a[nr:], cols=nc),
     )
 
 
@@ -460,7 +518,24 @@ ZERO_GROUP = FgAbGroup.zero()
 
 
 def group_from_relations(generators: int, relations) -> FgAbGroup:
-    """Canonical form of Z^generators / (row span of the relation matrix)."""
+    """Canonical form of Z^generators / (row span of the relation matrix).
+
+    Only the Smith diagonal is needed, so the matrix is diagonalized
+    modulo its determinantal divisor (Cohen, GTM 138, Alg. 2.4.14;
+    Hafner and McCurley 1991), without transforms.  One Bareiss pass
+    gives the rank r and the absolute value D of a nonzero r x r minor,
+    which d_1 * ... * d_r divides.  The least-pivot elimination then
+    runs over Z/DZ, taking a unit pivot scaled to 1 wherever there is
+    one; this diagonalizes the lattice rows + D*Z^n, whose invariant
+    factors are d_1, ..., d_r, D, ..., D.  So d_t = gcd(a_tt, D) for
+    t < r, the factors past an early zero block equal D, and entries
+    never outgrow D.
+
+    >>> print(group_from_relations(3, [[2, 4, 0], [0, 6, 0]]))
+    Z + Z_2 + Z_6
+    >>> print(group_from_relations(2, [[0, 6]]))
+    Z + Z_6
+    """
     rel = (
         relations
         if isinstance(relations, IntegerMatrix)
@@ -470,21 +545,21 @@ def group_from_relations(generators: int, relations) -> FgAbGroup:
         raise DimensionMismatch(
             f"relation matrix has {rel.cols} columns for {generators} generators"
         )
-    _, d, _ = smith_normal_form(rel)
-    diag = [x for x in d.diagonal() if x]
-    return FgAbGroup(generators - len(diag), tuple(x for x in diag if x != 1))
-
-
-def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
-    return a.direct_sum(b)
-
-
-def localize_at_prime(g: FgAbGroup, p: int) -> FgAbGroup:
-    return g.localized_at(p)
-
-
-def has_element_of_order(g: FgAbGroup, n: int) -> bool:
-    return g.has_element_of_order(n)
+    rank, minor, _ = _bareiss([list(row) for row in rel.entries])
+    modulus = abs(minor)
+    half = modulus // 2
+    a = [
+        [x - modulus if (x := y % modulus) > half else x for y in row]
+        for row in rel.entries
+    ]
+    steps = _diagonalize(a, rel.rows, rel.cols, rank, modulus)
+    factors = [gcd(a[t][t], modulus) for t in range(steps)]
+    factors += [modulus] * (rank - steps)
+    if modulus % prod(factors):
+        raise ArithmeticError(
+            f"invariant factors {factors} do not divide the {rank}x{rank} minor {modulus}"
+        )
+    return FgAbGroup(generators - rank, tuple(d for d in factors if d != 1))
 
 
 def ext1(b: FgAbGroup, a: FgAbGroup) -> FgAbGroup:
@@ -502,15 +577,68 @@ def ext1(b: FgAbGroup, a: FgAbGroup) -> FgAbGroup:
     return FgAbGroup.from_cyclic_orders(*parts)
 
 
+def _hermite(rows: list[list[int]]) -> list[int]:
+    """Row Hermite normal form of ``rows`` in place; returns the pivot columns.
+
+    Each column's pivot comes from least-remainder Euclid steps over the
+    rows not yet used; it is made positive, and the entries above it
+    are reduced into [0, pivot), which keeps them small (Cohen, GTM 138,
+    Alg. 2.4.5; Kannan and Bachem 1979).  Rows past the last pivot are
+    zero.
+    """
+    n = len(rows)
+    pivots: list[int] = []
+    for j in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        if k == n:
+            break
+        while True:
+            live = [i for i in range(k, n) if rows[i][j]]
+            if not live:
+                break
+            best = min(live, key=lambda i: abs(rows[i][j]))
+            rows[k], rows[best] = rows[best], rows[k]
+            top = rows[k]
+            p = top[j]
+            done = True
+            for i in range(k + 1, n):
+                q = rows[i][j] // p
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+                if rows[i][j]:
+                    done = False
+            if done:
+                break
+        if not rows[k][j]:
+            continue
+        if rows[k][j] < 0:
+            rows[k] = [-x for x in rows[k]]
+        top = rows[k]
+        p = top[j]
+        for i in range(k):
+            q = rows[i][j] // p
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+        pivots.append(j)
+    return pivots
+
+
 def integer_kernel(m: IntegerMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : m*x = 0}, as column vectors."""
-    _, d, v = smith_normal_form(m)
-    diag = d.diagonal()
-    basis = []
-    for j in range(m.cols):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(v.column(j))
-    return basis
+    """Basis of the integer kernel {x : m*x = 0}, in Hermite normal form.
+
+    Column-reduces [m; I], that is, takes the row Hermite form of
+    [m^T | I] (Cohen, GTM 138, Alg. 2.4.5; Kannan and Bachem 1979).  The
+    rows whose pivot lies in the identity block have a zero m-part, and
+    since the row operations are unimodular their identity parts span
+    the whole kernel.  No transform is built.
+
+    >>> integer_kernel(IntegerMatrix([[1, 2, 3]]))
+    [(1, 1, -1), (0, 3, -2)]
+    """
+    r, c = m.rows, m.cols
+    rows = [list(m.column(j)) + [int(i == j) for i in range(c)] for j in range(c)]
+    pivots = _hermite(rows)
+    return [tuple(row[r:]) for row, col in zip(rows, pivots) if col >= r]
 
 
 # -- homomorphisms ----------------------------------------------------------

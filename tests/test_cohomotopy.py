@@ -14,7 +14,7 @@ from cpsums.extensions import (
     dominance_interval,
     middle_candidates,
 )
-from cpsums.fgab import FgAbGroup, localize_at_prime
+from cpsums.fgab import FgAbGroup
 
 Z2 = FgAbGroup.cyclic(2)
 
@@ -84,11 +84,11 @@ class TestResolvedFamilies:
     def test_three_localizations(self):
         for k in (1, 2, 4):
             seven = pi_s0_connected_sum(k, 7).group
-            assert localize_at_prime(seven, 3) == FgAbGroup.from_primary(
+            assert seven.localized_at(3) == FgAbGroup.from_primary(
                 {3: [1] * (k - 1)}
             )
             five = pi_s0_connected_sum(k, 5).group
-            assert localize_at_prime(five, 3) == FgAbGroup.cyclic(3)
+            assert five.localized_at(3) == FgAbGroup.cyclic(3)
 
 
 class TestAmbiguousCaseN8:

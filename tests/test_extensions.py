@@ -307,6 +307,20 @@ class TestShortExactSequence:
         big = FgAbGroup.from_primary({2: [1] * 7, 3: [1] * 7})
         ShortExactSequence(Z2, big, middle=Z2.direct_sum(big))
 
+    def test_large_asserted_middle_needs_no_census(self):
+        # order 2^8: the subgroup census of Z_2^8 exhausts the oracle budget
+        start = time.perf_counter()
+        ShortExactSequence(elementary(2, 3), elementary(2, 5), middle=elementary(2, 8))
+        assert time.perf_counter() - start < 1.0
+
+    def test_right_order_non_middle_rejected_quickly(self):
+        # G/A elementary forces 2G <= A, but 2(Z_8) = Z_4 is not in Z_2^3
+        wrong = FgAbGroup.from_cyclic_orders(8, 2, 2, 2, 2, 2)
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            ShortExactSequence(elementary(2, 3), elementary(2, 5), middle=wrong)
+        assert time.perf_counter() - start < 1.0
+
     def test_middle_candidates_of_sequence(self):
         seq = ShortExactSequence(Z2, Z2, provenance="test")
         assert middle_candidates(seq) == [FgAbGroup(0, (2, 2)), Z4]
