@@ -46,7 +46,6 @@ from .surgery import (
     StructureSetResult,
     f_over_o,
     f_over_pl,
-    image_c_star_generators,
     kernel_f_star_rank,
     pl_over_o,
     structure_set,
@@ -82,7 +81,6 @@ __all__ = [
     "hom_cokernel",
     "hom_image",
     "hom_kernel",
-    "image_c_star_generators",
     "kernel_f_star_rank",
     "ko_group",
     "middle_candidates",

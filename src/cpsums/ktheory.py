@@ -45,10 +45,8 @@ def complex_k0(k: int, n: int) -> Result:
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
-    labels = [GeneratorLabel(symbol="omega", decoration="d*")]
-    for i in range(1, k + 1):
-        for j in range(1, n):
-            labels.append(GeneratorLabel(symbol="eta", power=j, copy_index=i))
+    labels = [GeneratorLabel("omega", 0, 1, "d*")]
+    labels.extend(GeneratorLabel("eta", j, i) for i in range(1, k + 1) for j in range(1, n))
     return Result(
         k,
         n,
@@ -125,9 +123,22 @@ def _on_copy(label: GeneratorLabel, copy: int, decoration: str = "") -> Generato
     return GeneratorLabel(label.symbol, label.power, copy, decoration, relation)
 
 
+def _split_torsion(labels) -> tuple[list[GeneratorLabel], list[GeneratorLabel]]:
+    """Free classes, then those whose relation ends in "= 0", each in order."""
+    free: list[GeneratorLabel] = []
+    torsion: list[GeneratorLabel] = []
+    for g in labels:
+        (torsion if (g.relation or "").endswith("= 0") else free).append(g)
+    return free, torsion
+
+
 def _sum_basis(s: int, top, rest, k: int) -> tuple[GeneratorLabel, ...]:
     """The CP^n classes on copy k, decorated q*, then the CP^(n-1) classes on
-    copies 1..k-1; free classes first, then those whose relation ends in "= 0"."""
+    copies 1..k-1; free classes first, then those whose relation ends in "= 0".
+
+    The "= 0" suffix is a property of the single-copy relation, which
+    `_on_copy` only subscripts, so each single-copy basis is split once.
+    """
     labels = [_on_copy(g, k, "q*") for g in top.generators]
     if s == 0:
         # the published KO^0 basis names the order-2 class of the distinguished
@@ -136,11 +147,15 @@ def _sum_basis(s: int, top, rest, k: int) -> tuple[GeneratorLabel, ...]:
             GeneratorLabel(g.symbol, g.power, k, "q*", f"2*{g} = 0") if g.relation else g
             for g in labels
         ]
+    top_free, top_torsion = _split_torsion(labels)
+    rest_free, rest_torsion = _split_torsion(rest.generators)
+    basis = top_free
     for i in range(1, k):
-        labels.extend(_on_copy(g, i) for g in rest.generators)
-    free = [g for g in labels if not (g.relation or "").endswith("= 0")]
-    torsion = [g for g in labels if (g.relation or "").endswith("= 0")]
-    return tuple(free + torsion)
+        basis.extend(_on_copy(g, i) for g in rest_free)
+    basis.extend(top_torsion)
+    for i in range(1, k):
+        basis.extend(_on_copy(g, i) for g in rest_torsion)
+    return tuple(basis)
 
 
 def ko_group(s: int, k: int, n: int) -> Result:
@@ -198,9 +213,8 @@ def verify_sandwich(s: int, k: int, n: int, group: FgAbGroup | None = None) -> S
             f"(k-1)*rank(KO^-{s}(CP^{n - 1})) = {rank_bound}",
         )
     primes = set()
-    for grp in (g, single_n, single_prev):
-        for d in grp.invariant_factors:
-            primes.update(factorint(d))
+    for d in {*g.invariant_factors, *single_n.invariant_factors, *single_prev.invariant_factors}:
+        primes.update(factorint(d))
     for p in sorted(primes):
         bound = (
             single_n.free_rank

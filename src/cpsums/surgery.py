@@ -18,7 +18,7 @@ from .cohomotopy import pi_s0_connected_sum
 from .extensions import AmbiguousResult
 from .fgab import FgAbGroup
 from .ktheory import ko_group_formula_any_k
-from .tables import GeneratorLabel, Result
+from .tables import Result
 
 
 class AmbiguousUpstream(ValueError):
@@ -145,48 +145,6 @@ def pl_over_o(k: int, n: int) -> FgAbGroup:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     return tables.pl_over_o_entry(k, n).group
-
-
-def xi_coefficients(i: int) -> dict[int, int]:
-    """Coefficients of xi_i on powers of the realified bundle class.
-
-    xi_1 = 24 etabar + 98 etabar^2 + 111 etabar^3,
-    xi_2 = 240 etabar^2 + 380 etabar^3, xi_3 = 504 etabar^3.
-    """
-    table = {1: {1: 24, 2: 98, 3: 111}, 2: {2: 240, 3: 380}, 3: {3: 504}}
-    if i not in table:
-        raise ValueError(f"xi index must be 1..3, got {i}")
-    return dict(table[i])
-
-
-def _xi_relation(i: int) -> str:
-    terms = [
-        f"{c}*etabar^{j}" if j > 1 else f"{c}*etabar"
-        for j, c in sorted(xi_coefficients(i).items())
-    ]
-    return f"xi_{i} = " + " + ".join(terms)
-
-
-def image_c_star_generators(k: int, n: int) -> tuple[GeneratorLabel, ...]:
-    """Generators of im([X, F/O] -> KO^0(X)) for n <= 7: the xi_i, plus
-    their pullbacks q^*(xi_i) along the collapse to a single copy when
-    k >= 2."""
-    if n > 7:
-        raise ValueError(f"the xi generators are only available for n <= 7, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    labels = [
-        GeneratorLabel(symbol="xi", power=i, relation=_xi_relation(i))
-        for i in (1, 2, 3)
-    ]
-    if k >= 2:
-        labels.extend(
-            GeneratorLabel(
-                symbol="xi", power=i, decoration="q*", relation=_xi_relation(i)
-            )
-            for i in (1, 2, 3)
-        )
-    return tuple(labels)
 
 
 def structure_set(k: int, n: int) -> StructureSetResult:

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .fgab import FgAbGroup
 
@@ -41,28 +41,42 @@ class UntabulatedDegree(LookupError):
     """The requested parameters are outside the tabulated range."""
 
 
-@dataclass(frozen=True)
-class GeneratorLabel:
-    """Symbolic basis element attached to a group summand.
-
-    ``power`` is the exponent on the bundle class (or the index for
-    xi-generators), ``copy_index`` names which connected summand the
-    class lives on, ``decoration`` is one of "", "q*", "d*", "c*".
-    """
-
+class _LabelFields(NamedTuple):
     symbol: str
     power: int = 0
     copy_index: int = 1
     decoration: str = ""
     relation: str | None = None
 
-    def __post_init__(self):
-        if self.power < 0:
+
+class GeneratorLabel(_LabelFields):
+    """Symbolic basis element attached to a group summand.
+
+    ``power`` is the exponent on the bundle class (or the index for
+    xi-generators), ``copy_index`` names which connected summand the
+    class lives on, ``decoration`` is one of "", "q*", "d*", "c*".
+
+    An immutable tuple record: a KO basis holds thousands of labels, and
+    a tuple costs less than half a frozen dataclass to build.  Like any
+    tuple, a label compares equal to the plain tuple of its five fields,
+    ``(symbol, power, copy_index, decoration, relation)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, symbol, power=0, copy_index=1, decoration="", relation=None):
+        if power < 0:
             raise ValueError("power must be nonnegative")
-        if self.copy_index < 1:
+        if copy_index < 1:
             raise ValueError("copy index starts at 1")
-        if self.decoration not in ("", "q*", "d*", "c*"):
-            raise ValueError(f"unknown decoration {self.decoration!r}")
+        if decoration not in ("", "q*", "d*", "c*"):
+            raise ValueError(f"unknown decoration {decoration!r}")
+        return tuple.__new__(cls, (symbol, power, copy_index, decoration, relation))
+
+    @classmethod
+    def _make(cls, iterable) -> "GeneratorLabel":
+        # so that _replace validates too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         if self.symbol == "omega":
@@ -230,9 +244,9 @@ def _load(path: str) -> dict[tuple, dict]:
     return records
 
 
-def _record(kind: str, **params) -> dict:
+def _record(kind: str, path: str | None = None, /, **params) -> dict:
     key = (kind, tuple(sorted((k, int(v)) for k, v in params.items())))
-    table = _load(data_path())
+    table = _load(path or data_path())
     if key not in table:
         raise UntabulatedDegree(f"no table entry for {kind} {params}")
     return table[key]
@@ -306,14 +320,34 @@ def _format_relation(template: str, m: int) -> str:
     return out
 
 
+# an entry holds about n/2 labels: 512 entries with n <= 1024 keep at most
+# about 21 MB, where 512 entries near n = 10^4 would keep about 330 MB
+_KO_MEMO_MAX_N = 1024
+
+
 def ko_single_cp(s: int, n: int) -> TableEntry:
-    """Fujii's KO^{-s}(CP^n) with generator labels, closed form in n mod 4."""
+    """Fujii's KO^{-s}(CP^n) with generator labels, closed form in n mod 4.
+
+    Entries with n <= 1024 are memoised in an LRU cache of 512 entries
+    keyed on ``(data_path(), s, n)``, so setting ``FGAB_TABLES`` switches
+    files just as it does for ``_load``.  A connected-sum basis reads the
+    same few single-copy entries for every k; an entry is frozen and its
+    labels are immutable, so callers share it.  Larger n are rebuilt on
+    each call, where building the connected-sum basis costs far more
+    than its single-copy entry.
+    """
     if not 0 <= s <= 7:
         raise ValueError(f"KO degree s must lie in 0..7, got {s}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    build = _ko_single_cp if n <= _KO_MEMO_MAX_N else _ko_single_cp.__wrapped__
+    return build(data_path(), s, n)
+
+
+@lru_cache(maxsize=512)
+def _ko_single_cp(path: str, s: int, n: int) -> TableEntry:
     m, q = divmod(n, 4)
-    rec = _record("ko_cp_case", s=s, q=q)
+    rec = _record("ko_cp_case", path, s=s, q=q)
     rank = _affine(rec["rank"], m)
     torsion = tuple(int(d) for d in rec["torsion"])
     group = FgAbGroup(rank, torsion)

@@ -322,3 +322,72 @@ class TestKoFullBases:
         res = ko_group(s, 3, n)
         assert [str(b) for b in res.basis] == basis
         assert [b.relation for b in res.basis if b.relation] == relations
+
+
+def _is_torsion(label):
+    return (label.relation or "").endswith("= 0")
+
+
+class TestKoBasisCost:
+    def test_repeat_lookups_skip_the_data_file(self, monkeypatch):
+        calls = {"_record": 0, "_load": 0}
+
+        def counted(name):
+            fn = getattr(tables, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(tables, name, counted(name))
+        tables._ko_single_cp.cache_clear()
+        for s, k, n in ((0, 3, 5), (4, 40, 12), (2, 7, 31), (7, 2, 2)):
+            first = ko_group(s, k, n)
+            assert calls["_record"] > 0 and calls["_load"] > 0
+            calls.update(_record=0, _load=0)
+            again = ko_group(s, k, n)
+            rep = verify_sandwich(s, k, n, group=again.group)
+            assert calls == {"_record": 0, "_load": 0}, (s, k, n)
+            assert again == first and rep.passed
+            tables._ko_single_cp.cache_clear()
+
+    def test_block_order_at_k40(self):
+        k = 40
+
+        # copy k first, then copies 1..k-1: free classes, then torsion
+        def block(g):
+            return (_is_torsion(g), 0 if g.copy_index == k else g.copy_index)
+
+        top_torsion = rest_torsion = False
+        for s in (0, 4):
+            for n in (8, 9, 10, 11, 12, 13):
+                res = ko_group(s, k, n)
+                free_rank, ngens = res.group.free_rank, res.group.ngens
+                assert [_is_torsion(g) for g in res.basis] == (
+                    [False] * free_rank + [True] * (ngens - free_rank)
+                ), (s, n)
+                keys = [block(g) for g in res.basis]
+                assert keys == sorted(keys), (s, n)
+                for torsion in (False, True):
+                    for copy in range(1, k + 1):
+                        entry = tables.ko_single_cp(s, n if copy == k else n - 1)
+                        want = [
+                            (g.symbol, g.power) for g in entry.generators
+                            if _is_torsion(g) == torsion
+                        ]
+                        got = [
+                            g for g in res.basis
+                            if block(g) == (torsion, 0 if copy == k else copy)
+                        ]
+                        assert [(g.symbol, g.power) for g in got] == want, (s, n, copy)
+                        assert all(
+                            g.decoration == ("q*" if copy == k else "") for g in got
+                        )
+                        assert all(f"_{copy}^" in g.relation for g in got if torsion)
+                        if torsion and got:
+                            top_torsion |= copy == k
+                            rest_torsion |= copy != k
+        assert top_torsion and rest_torsion

@@ -9,12 +9,10 @@ from cpsums.surgery import (
     AmbiguousUpstream,
     f_over_o,
     f_over_pl,
-    image_c_star_generators,
     kernel_f_star_rank,
     pl_over_o,
     structure_set,
     surgery_sequence_report,
-    xi_coefficients,
 )
 
 Z2 = FgAbGroup.cyclic(2)
@@ -211,30 +209,6 @@ class TestStructureSet:
         )
         with pytest.raises(ValueError, match="not half"):
             structure_set(3, 4)
-
-
-class TestXiGenerators:
-    def test_single_copy(self):
-        labels = image_c_star_generators(1, 7)
-        assert [str(g) for g in labels] == ["xi_1", "xi_2", "xi_3"]
-
-    def test_two_copies(self):
-        labels = image_c_star_generators(2, 7)
-        assert len(labels) == 6
-        assert [str(g) for g in labels[3:]] == ["q*(xi_1)", "q*(xi_2)", "q*(xi_3)"]
-
-    def test_coefficients(self):
-        assert xi_coefficients(1) == {1: 24, 2: 98, 3: 111}
-        assert xi_coefficients(2) == {2: 240, 3: 380}
-        assert xi_coefficients(3) == {3: 504}
-        labels = image_c_star_generators(1, 5)
-        assert "504*etabar^3" in labels[2].relation
-
-    def test_range(self):
-        with pytest.raises(ValueError):
-            image_c_star_generators(1, 8)
-        with pytest.raises(ValueError):
-            xi_coefficients(4)
 
 
 class TestSurgerySequenceReport:

@@ -179,6 +179,48 @@ class TestGeneratorLabel:
         with pytest.raises(ValueError):
             GeneratorLabel("eta", decoration="p*")
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            (("eta", -1), {"power": -1}, "power must be nonnegative"),
+            (("eta", 1, 0), {"copy_index": 0}, "copy index starts at 1"),
+            (("eta", 1, 1, "p*"), {"decoration": "p*"}, "unknown decoration 'p\\*'"),
+        ],
+    )
+    def test_bad_field_messages(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeneratorLabel(*args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeneratorLabel("eta", **kwargs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeneratorLabel("eta", 1)._replace(**kwargs)
+
+    def test_immutable(self):
+        g = GeneratorLabel("eta", 3, 2, "q*", "2*eta^3 = 0")
+        for name in ("symbol", "power", "copy_index", "decoration", "relation", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 1)
+        assert not hasattr(g, "__dict__")
+        assert g == GeneratorLabel("eta", 3, 2, "q*", "2*eta^3 = 0")
+
+    def test_record_round_trip_and_hash(self):
+        labels = [
+            GeneratorLabel("eta", 3, 2, "q*", "2*eta_2^3 = 0"),
+            GeneratorLabel("omega", decoration="d*"),
+            GeneratorLabel(symbol="sigma", copy_index=4, relation="2*sigma_4 = alpha*eta_4^3"),
+        ]
+        for g in labels:
+            back = GeneratorLabel.from_record(g.to_record())
+            assert back == g and type(back) is GeneratorLabel
+            assert hash(back) == hash(g)
+        assert GeneratorLabel("eta", 2) == GeneratorLabel(symbol="eta", power=2, copy_index=1)
+        assert len({GeneratorLabel("eta", 2), GeneratorLabel(symbol="eta", power=2)}) == 1
+
+    def test_equal_to_its_field_tuple(self):
+        g = GeneratorLabel("eta", 3, 2, "q*")
+        assert g == ("eta", 3, 2, "q*", None)
+        assert (g.symbol, g.power, g.copy_index, g.decoration, g.relation) == tuple(g)
+
 
 class TestEntryValidation:
     def test_round_trip(self):
@@ -231,6 +273,49 @@ class TestDataFileOverride:
         assert tables.data_path() == str(path)
         monkeypatch.delenv(tables.DATA_ENV)
         assert tables.data_path() == shipped
+
+    def test_memoised_ko_entry_follows_the_data_file(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(tables.DATA_ENV, raising=False)
+        shipped = ko_single_cp(0, 5)
+        assert shipped.group == FgAbGroup(2, (2,))
+        assert shipped.citation.startswith("Fujii: KO^0(CP^(4m+1))")
+        assert ko_single_cp(0, 5) is shipped  # a second call reads the cache
+        path = tmp_path / "tables.jsonl"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "ko_cp_case",
+                    "params": {"s": 0, "q": 1},
+                    "rank": [2, 0],
+                    "torsion": [4],
+                    "generators": [
+                        {"symbol": "eta", "j_from": [0, 1], "j_to": [2, 0]},
+                        {"symbol": "eta", "j_from": [2, 1], "j_to": [2, 1],
+                         "relation": "4*eta^{2m+1} = 0"},
+                    ],
+                    "citation": "deliberately wrong fixture",
+                    "external": False,
+                }
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setenv(tables.DATA_ENV, str(path))
+        fixture = ko_single_cp(0, 5)
+        assert fixture.group == FgAbGroup(2, (4,))
+        assert fixture.citation == "deliberately wrong fixture"
+        assert fixture.generators[-1].relation == "4*eta^3 = 0"
+        assert not fixture.external
+        monkeypatch.delenv(tables.DATA_ENV)
+        assert ko_single_cp(0, 5) == shipped
+        assert ko_single_cp(0, 5).citation == shipped.citation
+
+    def test_large_ko_entries_are_not_kept(self, monkeypatch):
+        monkeypatch.delenv(tables.DATA_ENV, raising=False)
+        assert ko_single_cp(0, 1024) is ko_single_cp(0, 1024)
+        big = ko_single_cp(0, 1025)
+        assert big is not ko_single_cp(0, 1025)
+        assert big == ko_single_cp(0, 1025) and len(big.generators) == 513
 
     def test_citationless_file_refused(self, tmp_path, monkeypatch):
         path = tmp_path / "bad.jsonl"
