@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, zip_longest
+from itertools import chain, groupby, zip_longest
 from math import gcd, prod
+from operator import mul
 
 
 class DimensionMismatch(ValueError):
@@ -77,6 +78,15 @@ class IntegerMatrix:
         self.entries = data
         self.rows = len(data)
         self.cols = width
+
+    @classmethod
+    def _of_rows(cls, rows, cols: int) -> "IntegerMatrix":
+        """Wrap rows of ints already known to be ``cols`` wide, unchecked."""
+        self = object.__new__(cls)
+        self.entries = tuple(map(tuple, rows))
+        self.rows = len(self.entries)
+        self.cols = cols
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -189,20 +199,16 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
     return min(nr, nc), prev, sign
 
 
-def _diagonalize(a, nr, nc, stop, modulus=0) -> int:
-    """Least-pivot Smith elimination of the top-left ``nr x nc`` block of ``a``.
+def _diagonalize(a, nr, nc, stop, modulus) -> int:
+    """Least-pivot Smith elimination of the ``nr x nc`` rows ``a`` modulo D.
 
+    Every entry is kept as a residue in (-D/2, D/2], D = ``modulus``.
     Step t moves the least nonzero entry of the trailing block to
-    (t, t), clears its row and column by division with remainder and
-    makes it divide the trailing block, so the diagonal forms a
-    divisibility chain.  Row operations act on whole rows among the
-    first ``nr`` and column operations on whole columns, so identities
-    appended to the right of the block and below it record the
-    transforms.  With a ``modulus`` D every entry is kept as a residue
-    in (-D/2, D/2], and a unit, scaled to 1, is the pivot whenever the
-    trailing block has one.  Works in place and returns the number of
-    steps made before the trailing block was zero or ``stop`` steps
-    were done.
+    (t, t), a unit ranking first and scaled to 1, clears its row and
+    column by division with remainder and makes it divide the trailing
+    block, so the diagonal forms a divisibility chain.  Works in place
+    and returns the number of steps made before the trailing block was
+    zero or ``stop`` steps were done.
     """
     half = modulus // 2
     # Before step t, rows and columns 0..t-1 of the block are zero off the
@@ -217,40 +223,26 @@ def _diagonalize(a, nr, nc, stop, modulus=0) -> int:
                 row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
-        if not q:
-            return
-        pairs = zip(a[dst][t:], a[src][t:])
-        if modulus:
+        if q:
             a[dst][t:] = [
                 x - modulus if (x := (y + q * z) % modulus) > half else x
-                for y, z in pairs
+                for y, z in zip(a[dst][t:], a[src][t:])
             ]
-        else:
-            a[dst][t:] = [y + q * z for y, z in pairs]
 
     def add_col(dst, src, q):
-        if not q:
-            return
-        if modulus:
+        if q:
             for row in a[t:]:
                 if row[src]:
                     x = (row[dst] + q * row[src]) % modulus
                     row[dst] = x - modulus if x > half else x
-        else:
-            for row in a[t:]:
-                if row[src]:
-                    row[dst] += q * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
 
-    if modulus:
-        # every unit ranks first: scaled to 1, it clears its row and
-        # column without a remainder
-        def size(x):
-            return 1 if gcd(x, modulus) == 1 else modulus + abs(x)
-    else:
-        size = abs
+    # every unit ranks first: scaled to 1, it clears its row and column
+    # without a remainder
+    def size(x):
+        return 1 if gcd(x, modulus) == 1 else modulus + abs(x)
 
     def pivot():
         """(size, row, column) of the first least nonzero entry from (t, t) on."""
@@ -271,7 +263,7 @@ def _diagonalize(a, nr, nc, stop, modulus=0) -> int:
             break
         swap_rows(t, best[1])
         swap_cols(t, best[2])
-        if modulus and best[0] == 1:
+        if best[0] == 1:
             # row t times the inverse of its pivot: (1 + q) * row = row / pivot
             add_row(t, t, pow(a[t][t], -1, modulus) - 1)
         while True:
@@ -317,26 +309,167 @@ def _diagonalize(a, nr, nc, stop, modulus=0) -> int:
     return t
 
 
+def _hermite(
+    rows: list[list[int]], width: int | None = None, positive: bool = True
+) -> list[int]:
+    """Row Hermite normal form of ``rows`` in place; returns the pivot columns.
+
+    Each column's pivot comes from least-remainder Euclid steps over the
+    rows not yet used; it is made positive, and the entries above it
+    are reduced into [0, pivot), which keeps them small (Cohen, GTM 138,
+    Alg. 2.4.5; Kannan and Bachem 1979).  With ``positive`` false the
+    pivot keeps its sign and the entries above it have the same bound
+    in absolute value, for a caller that fixes signs once at the end.
+    Pivots are searched only in the first ``width`` columns (all of
+    them by default), so columns appended past ``width`` just record
+    the row operations.  Rows past the last pivot are zero in those
+    columns.
+    """
+    n = len(rows)
+    pivots: list[int] = []
+    for j in range((len(rows[0]) if rows else 0) if width is None else width):
+        k = len(pivots)
+        if k == n:
+            break
+        sizes = [abs(row[j]) for row in rows[k:]]
+        least = min(filter(None, sizes), default=0)
+        if not least:
+            continue
+        best = k + sizes.index(least)
+        while best >= 0:
+            rows[k], rows[best] = rows[best], rows[k]
+            top = rows[k]
+            p = top[j]
+            # remainders are at most |p|/2, so the next pivot is the least
+            # of them
+            best, least, p2 = -1, abs(p), 2 * p
+            for i in range(k + 1, n):
+                row = rows[i]
+                x = row[j]
+                if x:
+                    q = (2 * x + p) // p2
+                    if q:
+                        row = rows[i] = [a - q * b for a, b in zip(row, top)]
+                        x = row[j]
+                    if x and abs(x) < least:
+                        best, least = i, abs(x)
+        if positive and top[j] < 0:
+            top = rows[k] = [-x for x in top]
+        p = top[j]
+        for i in range(k):
+            q = rows[i][j] // p
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], top)]
+        pivots.append(j)
+    return pivots
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
 def smith_normal_form(
     m: IntegerMatrix,
 ) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
     """Return (u, d, v) with u*m*v = d, u and v unimodular, d diagonal.
 
-    The diagonal is nonnegative and forms a divisibility chain
-    d1 | d2 | ... .  Pivots are chosen by least absolute value and all
-    arithmetic is exact, so the routine is total on any integer matrix,
-    including empty ones.  It is the only routine here that builds
-    transforms; callers that need only the diagonal or a kernel use
+    The diagonal is nonnegative with its zeros last, and its nonzero
+    entries form a divisibility chain d1 | d2 | ....  The transforms
+    come from alternating Hermite forms (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979; Cohen, GTM 138, Alg. 2.4.5 and 2.4.14): the row
+    Hermite form of [m | I], with pivots only in the m columns, gives u
+    and a triangular block; the row Hermite form of [block^T | I] gives
+    v; the two passes alternate until the block is diagonal.  Every
+    pass reduces the entries above its pivots, so entries stay near the
+    size of the minors of m.  Extended-gcd steps on pairs,
+    diag(a, b) -> diag(g, ab/g), then make the diagonal a chain.  Where
+    a transform entry still exceeds the Hadamard bound of m, a Hermite
+    pass on the kernel rows of u or v^T, with the other rows reduced
+    modulo its pivots, shrinks it.  All arithmetic is exact, so the
+    routine is total on any integer matrix, including empty ones.
+    Callers that need only the diagonal or a kernel use
     ``group_from_relations`` or ``integer_kernel``.
+
+    >>> m = IntegerMatrix([[2, 0], [0, 3]])
+    >>> u, d, v = smith_normal_form(m)
+    >>> d.diagonal()
+    (1, 6)
+    >>> (u @ m) @ v == d
+    True
     """
     nr, nc = m.rows, m.cols
-    a = [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(m.entries)]
-    a += [[int(i == j) for j in range(nc)] for i in range(nc)]
-    _diagonalize(a, nr, nc, min(nr, nc))
+    block = m.entries
+    # sides[0] is u and sides[1] is v^T; a pass acts on the rows of the
+    # block and on the same rows of sides[turn]
+    sides = [_identity_rows(nr), _identity_rows(nc)]
+    turn = 0
+    width = nc
+    while True:
+        side = sides[turn]
+        rows = [[*x, *y] for x, y in zip(block, side)]
+        rank = len(_hermite(rows, width, positive=False))
+        side[: len(rows)] = [row[width:] for row in rows]
+        block = [row[:width] for row in rows[:rank]]
+        if all(row[i] and row.count(0) == width - 1 for i, row in enumerate(block)):
+            break
+        block = [list(col) for col in zip(*block)]
+        width = rank
+        turn ^= 1
+    # The block is diagonal from (0, 0) on, so the zeros of d come last.
+    # Signs are fixed on u, then pairs of diagonal entries on the chain.
+    u, vt = sides
+    diag = [block[i][i] for i in range(rank)]
+    for i, x in enumerate(diag):
+        if x < 0:
+            u[i] = [-y for y in u[i]]
+            diag[i] = -x
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a, b = diag[i], diag[j]
+            if a == 1:
+                break
+            if b % a == 0:
+                continue
+            # x*a + y*b = g; rows (x, y), (-b/g, a/g) and columns
+            # (1, 1), (-y*b/g, x*a/g) take diag(a, b) to diag(g, ab/g)
+            g = gcd(a, b)
+            ag, bg = a // g, b // g
+            x = pow(ag, -1, bg)
+            y = (g - x * a) // b
+            ui, uj = u[i], u[j]
+            u[i] = [x * p + y * q for p, q in zip(ui, uj)]
+            u[j] = [ag * q - bg * p for p, q in zip(ui, uj)]
+            vi, vj = vt[i], vt[j]
+            vt[i] = [p + q for p, q in zip(vi, vj)]
+            vt[j] = [x * ag * q - y * bg * p for p, q in zip(vi, vj)]
+            diag[i], diag[j] = g, ag * b
+    # u and v^T are fixed only up to adding kernel rows to the other rows.
+    # Where an entry outgrew the Hadamard bound of m, a Hermite pass on
+    # the kernel rows and a reduction of the other rows modulo its pivots
+    # bring the transform back near the size of the minors of m.
+    bound = 0
+    for side in (u, vt):
+        if len(side) == rank:
+            continue
+        if not bound:
+            bound = prod(n for row in m.entries if (n := sum(map(mul, row, row))))
+        if max(map(abs, chain.from_iterable(side))) ** 2 > bound:
+            kernel = side[rank:]
+            pivots = _hermite(kernel)
+            for row, col in zip(kernel, pivots):
+                p = row[col]
+                for i in range(rank):
+                    q = side[i][col] // p
+                    if q:
+                        side[i] = [x - q * y for x, y in zip(side[i], row)]
+            side[rank:] = kernel
+    d = [[0] * nc for _ in range(nr)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
     return (
-        IntegerMatrix([row[nc:] for row in a[:nr]], cols=nr),
-        IntegerMatrix([row[:nc] for row in a[:nr]], cols=nc),
-        IntegerMatrix(a[nr:], cols=nc),
+        IntegerMatrix._of_rows(u, nr),
+        IntegerMatrix._of_rows(d, nc),
+        IntegerMatrix._of_rows(zip(*vt), nc),
     )
 
 
@@ -575,52 +708,6 @@ def ext1(b: FgAbGroup, a: FgAbGroup) -> FgAbGroup:
         parts.extend([m] * a.free_rank)
         parts.extend(gcd(m, n) for n in a.invariant_factors)
     return FgAbGroup.from_cyclic_orders(*parts)
-
-
-def _hermite(rows: list[list[int]]) -> list[int]:
-    """Row Hermite normal form of ``rows`` in place; returns the pivot columns.
-
-    Each column's pivot comes from least-remainder Euclid steps over the
-    rows not yet used; it is made positive, and the entries above it
-    are reduced into [0, pivot), which keeps them small (Cohen, GTM 138,
-    Alg. 2.4.5; Kannan and Bachem 1979).  Rows past the last pivot are
-    zero.
-    """
-    n = len(rows)
-    pivots: list[int] = []
-    for j in range(len(rows[0]) if rows else 0):
-        k = len(pivots)
-        if k == n:
-            break
-        while True:
-            live = [i for i in range(k, n) if rows[i][j]]
-            if not live:
-                break
-            best = min(live, key=lambda i: abs(rows[i][j]))
-            rows[k], rows[best] = rows[best], rows[k]
-            top = rows[k]
-            p = top[j]
-            done = True
-            for i in range(k + 1, n):
-                q = rows[i][j] // p
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], top)]
-                if rows[i][j]:
-                    done = False
-            if done:
-                break
-        if not rows[k][j]:
-            continue
-        if rows[k][j] < 0:
-            rows[k] = [-x for x in rows[k]]
-        top = rows[k]
-        p = top[j]
-        for i in range(k):
-            q = rows[i][j] // p
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], top)]
-        pivots.append(j)
-    return pivots
 
 
 def integer_kernel(m: IntegerMatrix) -> list[tuple[int, ...]]:

@@ -52,9 +52,9 @@ class _LabelFields(NamedTuple):
 class GeneratorLabel(_LabelFields):
     """Symbolic basis element attached to a group summand.
 
-    ``power`` is the exponent on the bundle class (or the index for
-    xi-generators), ``copy_index`` names which connected summand the
-    class lives on, ``decoration`` is one of "", "q*", "d*", "c*".
+    ``power`` is the exponent on the bundle class, ``copy_index`` names
+    which connected summand the class lives on, ``decoration`` is one of
+    "", "q*", "d*", "c*".
 
     An immutable tuple record: a KO basis holds thousands of labels, and
     a tuple costs less than half a frozen dataclass to build.  Like any
@@ -81,8 +81,6 @@ class GeneratorLabel(_LabelFields):
     def __str__(self) -> str:
         if self.symbol == "omega":
             core = "omega"
-        elif self.symbol == "xi":
-            core = f"xi_{self.power}"
         elif self.symbol in ("sigma", "tau"):
             core = f"{self.symbol}_{self.copy_index}"
         else:

@@ -121,6 +121,82 @@ class TestSmithNormalForm:
             sdiag = [abs(theirs[i, i]) for i in range(min(r, c))]
             assert ours == [x for x in sdiag if x]
 
+    def test_chain_fixup(self):
+        cases = [
+            ([[2, 0], [0, 3]], (1, 6)),
+            ([[4, 0], [0, 6]], (2, 12)),
+            ([[6, 0], [0, 4]], (2, 12)),
+            ([[-2, 0], [0, 3]], (1, 6)),
+            ([[0, -4], [-6, 0]], (2, 12)),
+            ([[-3, 0, 0], [0, -5, 0], [0, 0, 7]], (1, 1, 105)),
+            ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+            ([[0, 0, 0], [0, 6, 0], [0, 0, 0], [4, 0, 0]], (2, 12, 0)),
+            ([[0, 0, 0, 0], [0, 0, 9, 0], [0, 0, 0, 0]], (9, 0, 0)),
+            ([[0, 0], [0, 0]], (0, 0)),
+        ]
+        for rows, expected in cases:
+            assert snf_checks(IntegerMatrix(rows)) == expected, rows
+
+    def test_single_row_and_column(self):
+        for rows, expected in (([[4, 6, 8]], (2,)), ([[0, 0, -5]], (5,)), ([[0, 0, 0]], (0,))):
+            assert snf_checks(IntegerMatrix(rows)) == expected
+            column = IntegerMatrix(rows).transpose()
+            assert snf_checks(column) == expected
+        rng = random.Random(61)
+        for n in (1, 2, 7, 24):
+            row = [rng.randint(-20, 20) for _ in range(n)]
+            g = gcd(*row)
+            assert snf_checks(IntegerMatrix([row])) == (g,)
+            assert snf_checks(IntegerMatrix([[x] for x in row])) == (g,)
+
+    def test_medium_matrices_match_group_from_relations(self):
+        rng = random.Random(2024)
+        for _ in range(3):
+            for kind in ("square", "tall", "wide", "deficient"):
+                m = medium_matrix(rng, kind)
+                nonzero = [x for x in snf_checks(m) if x]
+                assert group_from_relations(m.cols, m) == FgAbGroup(
+                    m.cols - len(nonzero), tuple(x for x in nonzero if x != 1)
+                ), (kind, m.shape)
+
+    def test_transform_size_near_hadamard_bound(self):
+        # Hermite-form transforms stay under twice the bit length of the
+        # Hadamard bound on these matrices; coefficient explosion in the
+        # transforms would pass 4x by orders of magnitude.
+        rng = random.Random(31337)
+        for _ in range(4):
+            for kind in ("square", "tall", "wide", "deficient"):
+                m = medium_matrix(rng, kind)
+                u, _, v = smith_normal_form(m)
+                bits = max(abs(x).bit_length() for t in (u, v) for row in t.entries for x in row)
+                assert bits <= 4 * hadamard_bits(m), (kind, m.shape, bits)
+
+
+def medium_matrix(rng, kind):
+    """A 15..24-dimensional matrix with entries in [-20, 20].
+
+    ``tall`` has at least as many rows as columns and ``wide`` at most;
+    a ``deficient`` one is square with 1..4 rows that are sums of two
+    others (entries of the rest in [-10, 10]).
+    """
+    r = rng.randint(15, 24)
+    c = rng.randint(15, r) if kind == "tall" else rng.randint(r, 24) if kind == "wide" else r
+    if kind != "deficient":
+        return IntegerMatrix([[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)])
+    base = [[rng.randint(-10, 10) for _ in range(c)] for _ in range(rng.randint(r - 4, r - 1))]
+    rows = base + [
+        [x + y for x, y in zip(*rng.sample(base, 2))] for _ in range(r - len(base))
+    ]
+    rng.shuffle(rows)
+    return IntegerMatrix(rows)
+
+
+def hadamard_bits(m):
+    """Bit length of the product of the norms of the nonzero rows of m,
+    which bounds every minor of m (Hadamard's inequality)."""
+    square = prod(n for row in m.entries if (n := sum(x * x for x in row)))
+    return (square.bit_length() + 1) // 2
+
 
 def rational_rank(rows):
     mat = [[Fraction(x) for x in row] for row in rows]

@@ -168,7 +168,6 @@ class TestGeneratorLabel:
         assert str(GeneratorLabel("eta", 3, 2)) == "eta_2^3"
         assert str(GeneratorLabel("eta", 3, 2, "q*")) == "q*(eta_2^3)"
         assert str(GeneratorLabel("omega", decoration="d*")) == "d*(omega)"
-        assert str(GeneratorLabel("xi", power=2)) == "xi_2"
         assert str(GeneratorLabel("sigma", copy_index=4)) == "sigma_4"
 
     def test_validation(self):
