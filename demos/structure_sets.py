@@ -7,13 +7,7 @@ manifolds are tangentially homotopy equivalent to #_k CP^n without
 being homeomorphic to it.
 """
 
-from cpsums.surgery import (
-    f_over_o,
-    f_over_pl,
-    pl_over_o,
-    structure_set,
-    surgery_sequence_report,
-)
+from cpsums.surgery import f_over_o, f_over_pl, pl_over_o, structure_set
 
 K = 3
 
@@ -30,7 +24,7 @@ print()
 print("tangential surgery sequences:")
 for n in range(3, 8):
     print()
-    print(surgery_sequence_report(K, n).render())
+    print(structure_set(K, n).render())
 
 print()
 print("exotic counts (tangentially equivalent, non-homeomorphic manifolds):")

@@ -49,7 +49,6 @@ from .surgery import (
     kernel_f_star_rank,
     pl_over_o,
     structure_set,
-    surgery_sequence_report,
 )
 
 __version__ = "0.1.0"
@@ -90,6 +89,5 @@ __all__ = [
     "resolve",
     "smith_normal_form",
     "structure_set",
-    "surgery_sequence_report",
     "verify_sandwich",
 ]

@@ -112,7 +112,7 @@ def _structure_set(args):
     }
     if res.note:
         extras["note"] = res.note
-    return Result(res.k, res.n, res.smooth, res.citations), extras
+    return Result(res.k, res.n, res.image_of_eta, res.citations), extras
 
 
 # invariant name -> args -> (Result, payload keys of that invariant only);
@@ -231,7 +231,7 @@ def _cmd_report(args) -> int:
         return _usage_error(f"unknown sequence {args.sequence!r}")
     _check_size(args.k, args.n)
     try:
-        rep = surgery.surgery_sequence_report(args.k, args.n)
+        rep = surgery.structure_set(args.k, args.n)
     except (ValueError, LookupError) as exc:
         return _usage_error(str(exc))
     if args.json:
@@ -245,12 +245,12 @@ def _cmd_report(args) -> int:
             "obstruction_status": rep.obstruction_status,
             "obstruction_image_order": rep.obstruction_image_order,
             "image_of_eta": rep.image_of_eta.to_json(),
-            "citations": list(rep.citations),
+            "citations": list(rep.sequence_citations),
         }
         _emit(_dumps(payload))
     else:
         _emit(rep.render())
-        for cite in rep.citations:
+        for cite in rep.sequence_citations:
             _emit(f"  [{cite}]")
     return EXIT_OK
 

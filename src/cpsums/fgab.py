@@ -575,9 +575,6 @@ class FgAbGroup:
     def torsion(self) -> "FgAbGroup":
         return FgAbGroup(0, self.invariant_factors)
 
-    def free_part(self) -> "FgAbGroup":
-        return FgAbGroup(self.free_rank, ())
-
     def primary_exponents(self) -> dict[int, tuple[int, ...]]:
         """Per-prime exponent partitions of the torsion part, descending."""
         out: dict[int, list[int]] = {}
@@ -585,10 +582,6 @@ class FgAbGroup:
             for p, e in factorint(d).items():
                 out.setdefault(p, []).append(e)
         return {p: tuple(sorted(es, reverse=True)) for p, es in sorted(out.items())}
-
-    def torsion_count(self, n: int) -> int:
-        """Number of torsion elements killed by n: |{x : n*x = 0}|."""
-        return prod(gcd(n, d) for d in self.invariant_factors)
 
     def p_socle_rank(self, p: int) -> int:
         """Number of invariant factors divisible by p."""

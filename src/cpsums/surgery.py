@@ -7,6 +7,11 @@ invariant group [X, F/PL] has a closed form with only 2-torsion; the
 concordance-smoothing group [X, PL/O] is tabulated; and the tangential
 surgery sequence L_{2n+1} -> S^t_Diff -> N^t_Diff -> L_{2n} pins down
 the structure sets and the exotic-manifold counts.
+
+`structure_set` returns that sequence as one `StructureSetResult`, which
+both `compute --invariant structure-set` and `report --sequence surgery`
+print.  Where the obstruction map is a homomorphism (n = 3, 4, 6, 7) the
+result is checked by exactness, |N^t_Diff| = |im(eta)| * |im(theta)|.
 """
 
 from __future__ import annotations
@@ -31,29 +36,53 @@ class AmbiguousUpstream(ValueError):
 
 @dataclass(frozen=True)
 class StructureSetResult:
+    """L_{2n+1} -> S^t_Diff -> N^t_Diff -> L_{2n} for #_k CP^n with its
+    groups filled in, and the exotic count it yields."""
+
     k: int
     n: int
-    smooth: FgAbGroup  # carrier of S^t_Diff via the injective eta
+    normal_invariants: FgAbGroup  # N^t_Diff = [X, SF] = pi_s^0(X)
     pl_group: FgAbGroup  # [X, PL/O], the carrier of S^t_PL
-    image_of_eta: FgAbGroup
+    image_of_eta: FgAbGroup  # carrier of S^t_Diff via the injective eta
     exotic_count: int | None  # tangentially equivalent, non-homeomorphic manifolds
     derivation: str
-    citations: tuple[str, ...]
+    normal_citations: tuple[str, ...]  # of pi_s^0(X)
+    pl_citation: str
+    eta_citation: str
     note: str = ""
 
+    @property
+    def odd_wall(self) -> FgAbGroup:  # L_{2n+1}
+        return tables.wall_group(2 * self.n + 1)
 
-@dataclass(frozen=True)
-class SurgerySequenceReport:
-    k: int
-    n: int
-    odd_wall: FgAbGroup  # L_{2n+1}
-    even_wall: FgAbGroup  # L_{2n}
-    normal_invariants: FgAbGroup  # N^t_Diff = [X, SF]
-    eta_injective: bool
-    obstruction_status: str  # "zero" | "nonzero" | "nonzero-homomorphism"
-    obstruction_image_order: int
-    image_of_eta: FgAbGroup
-    citations: tuple[str, ...]
+    @property
+    def even_wall(self) -> FgAbGroup:  # L_{2n}
+        return tables.wall_group(2 * self.n)
+
+    @property
+    def eta_injective(self) -> bool:
+        return self.odd_wall.is_trivial
+
+    @property
+    def obstruction_status(self) -> str:  # "zero" | "nonzero" | "nonzero-homomorphism"
+        return _OBSTRUCTION_STATUS[self.n][0]
+
+    @property
+    def obstruction_image_order(self) -> int:
+        return 1 if self.obstruction_status == "zero" else 2
+
+    @property
+    def citations(self) -> tuple[str, ...]:
+        """Sources of the structure set: pi_s^0, the PL/O row, eta."""
+        return self.normal_citations + (self.pl_citation, self.eta_citation)
+
+    @property
+    def sequence_citations(self) -> tuple[str, ...]:
+        """Sources of the sequence: pi_s^0, the obstruction map, eta injective."""
+        return self.normal_citations + (
+            _OBSTRUCTION_STATUS[self.n][1],
+            "the odd Wall group vanishes, so eta is injective",
+        )
 
     def render(self) -> str:
         lines = [
@@ -142,13 +171,11 @@ def f_over_pl(k: int, n: int) -> Result:
 
 def pl_over_o(k: int, n: int) -> FgAbGroup:
     """[#_k CP^n, PL/O] for tabulated n in 3..7."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
     return tables.pl_over_o_entry(k, n).group
 
 
 def structure_set(k: int, n: int) -> StructureSetResult:
-    """Tangential structure-set data and the exotic-manifold count.
+    """The tangential surgery sequence, the structure set and the exotic count.
 
     eta: S^t_Diff -> N^t_Diff is injective (odd Wall group vanishes), so
     the smooth set is carried by its image inside pi_s^0.  Exotic counts:
@@ -157,20 +184,11 @@ def structure_set(k: int, n: int) -> StructureSetResult:
     """
     if k < 1 or not 3 <= n <= 7:
         raise ValueError(f"needs k >= 1 and 3 <= n <= 7, got k={k}, n={n}")
-    return _structure_set(k, n, *_resolved_cohomotopy(k, n))
-
-
-def _structure_set(
-    k: int, n: int, normal: FgAbGroup, cites: tuple[str, ...]
-) -> StructureSetResult:
-    """`structure_set` from an already resolved pi_s^0(#_k CP^n) and its
-    citations, so a caller that needs the group too resolves it once."""
+    normal, cites = _resolved_cohomotopy(k, n)
     pl_entry = tables.pl_over_o_entry(k, n)
     pl = pl_entry.group
-    citations = list(cites) + [pl_entry.citation]
     note = ""
     if n in (3, 4, 6):
-        smooth = normal
         image = normal
         if n == 4:
             exotic = 2**k
@@ -186,12 +204,9 @@ def _structure_set(
                 "eta is an isomorphism and every tangential homotopy equivalence "
                 "is realized by a homeomorphism: count 0"
             )
-        citations.append(
-            "eta: S^t_Diff -> N^t_Diff is an isomorphism for n = 3, 4, 6"
-        )
+        eta_citation = "eta: S^t_Diff -> N^t_Diff is an isomorphism for n = 3, 4, 6"
     elif n == 5:
         image = FgAbGroup.from_primary({2: [1] * (2 * k - 1)})
-        smooth = image
         if k >= 2:
             exotic = 2 ** (k - 2)
             derivation = "stored count 2^(k-2); the passage from structure-set "
@@ -203,19 +218,18 @@ def _structure_set(
                 "no count is asserted at k = 1"
             )
             derivation = "out of domain at k = 1"
-        citations.append(
+        eta_citation = (
             "im(eta: S^t_Diff(#_k CP^5) -> N^t_Diff) = Z_2^(2k-1); "
             "the obstruction map to L_10 is nonzero"
         )
     else:  # n == 7
         image = pl
-        smooth = image
         exotic = 0
         derivation = (
             "im(eta) is isomorphic to the PL tangential smoothing set, "
             "so every smooth class is PL-realized: count 0"
         )
-        citations.append(
+        eta_citation = (
             "im(eta: S^t_Diff(#_k CP^7) -> N^t_Diff) is isomorphic to "
             "S^t_PL(#_k CP^7)"
         )
@@ -224,24 +238,31 @@ def _structure_set(
             f"|im(eta)| = {image.torsion_order()} differs from "
             f"|[#_k CP^n, PL/O]| = {pl.torsion_order()} for k={k}, n={n}"
         )
-    # eta embeds the smooth set in the normal invariants, so by Lagrange its
-    # image order divides |pi_s^0|; the shipped data give index 2 at n = 7
-    if n == 7 and normal.torsion_order() % image.torsion_order():
-        raise ValueError(
-            f"|im(eta)| = {image.torsion_order()} does not divide "
-            f"|pi_s^0(#_k CP^n)| = {normal.torsion_order()} for k={k}, n={n}"
-        )
-    return StructureSetResult(
+    result = StructureSetResult(
         k=k,
         n=n,
-        smooth=smooth,
+        normal_invariants=normal,
         pl_group=pl,
         image_of_eta=image,
         exotic_count=exotic,
         derivation=derivation,
-        citations=tuple(citations),
+        normal_citations=cites,
+        pl_citation=pl_entry.citation,
+        eta_citation=eta_citation,
         note=note,
     )
+    # eta is injective and im(eta) = ker(theta); where theta is a
+    # homomorphism, exactness gives |N| = |im(eta)| * |im(theta)|.  At n = 5
+    # theta is only known to be nonzero, so there is nothing to check.
+    if result.obstruction_status != "nonzero":
+        index = result.obstruction_image_order
+        if normal.torsion_order() != image.torsion_order() * index:
+            raise ValueError(
+                f"the surgery sequence is not exact: |N^t_Diff| = "
+                f"{normal.torsion_order()} but |im(eta)| * |im(theta)| = "
+                f"{image.torsion_order()} * {index} for k={k}, n={n}"
+            )
+    return result
 
 
 _OBSTRUCTION_STATUS = {
@@ -255,27 +276,3 @@ _OBSTRUCTION_STATUS = {
         "and the wedge-quotient map is surjective",
     ),
 }
-
-
-def surgery_sequence_report(k: int, n: int) -> SurgerySequenceReport:
-    """The four-term tangential surgery sequence with groups filled in."""
-    if k < 1 or not 3 <= n <= 7:
-        raise ValueError(f"needs k >= 1 and 3 <= n <= 7, got k={k}, n={n}")
-    normal, cites = _resolved_cohomotopy(k, n)
-    odd = tables.wall_group(2 * n + 1)
-    even = tables.wall_group(2 * n)
-    status, why = _OBSTRUCTION_STATUS[n]
-    image_order = 1 if status == "zero" else 2
-    sset = _structure_set(k, n, normal, cites)
-    return SurgerySequenceReport(
-        k=k,
-        n=n,
-        odd_wall=odd,
-        even_wall=even,
-        normal_invariants=normal,
-        eta_injective=odd.is_trivial,
-        obstruction_status=status,
-        obstruction_image_order=image_order,
-        image_of_eta=sset.image_of_eta,
-        citations=cites + (why, "the odd Wall group vanishes, so eta is injective"),
-    )

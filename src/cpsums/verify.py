@@ -222,13 +222,14 @@ def surgery_suite(k_range=range(2, 7), n_range=range(3, 8)) -> SuiteReport:
                     "[X, PL] -> [X, SF] is injective, so orders divide",
                     f"k={k}, n={n}: |{plo}| does not divide |{pi}|",
                 )
-            sset = surgery.structure_set(k, n)
-            expected = {3: 0, 4: 2**k, 5: 2 ** (k - 2) if k >= 2 else None, 6: 0, 7: 0}[n]
-            if sset.exotic_count != expected:
+            try:
+                surgery.structure_set(k, n)
+            except ValueError as exc:
                 report.fail(
-                    "exotic-count",
-                    "exotic counts: 0 for n = 3, 6, 7; 2^k for n = 4; 2^(k-2) for n = 5",
-                    f"k={k}, n={n}: {sset.exotic_count} vs {expected}",
+                    "surgery-exactness",
+                    "exactness of L_{2n+1} = 0 -> S^t_Diff -> N^t_Diff -> L_{2n}: "
+                    "|N^t_Diff| = |im(eta)| * |im(theta)|",
+                    str(exc),
                 )
     return report
 

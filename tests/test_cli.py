@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cpsums import cli, extensions, verify
+from cpsums import cli, extensions, tables, verify
 from cpsums.cli import main
 from cpsums.fgab import FgAbGroup
 
@@ -176,6 +176,27 @@ class TestVerifyVerb:
         assert code == 0 and "[ok]" in out
         code, out = run(capsys, "verify", "--suite", "surgery")
         assert code == 0 and "[ok]" in out
+
+    def test_broken_surgery_data_is_a_verification_failure(self, capsys, monkeypatch):
+        # an extra Z_5 in the n = 7 PL/O row breaks exactness; that is a
+        # failed check (exit 1), not a usage error (exit 2)
+        real = tables.pl_over_o_entry
+
+        def wrong_entry(k, n):
+            entry = real(k, n)
+            if n != 7:
+                return entry
+            return tables.TableEntry(
+                kind=entry.kind,
+                params=entry.params,
+                group=entry.group.direct_sum(FgAbGroup.cyclic(5)),
+                citation=entry.citation,
+            )
+
+        monkeypatch.setattr(tables, "pl_over_o_entry", wrong_entry)
+        code, out = run(capsys, "verify", "--suite", "surgery")
+        assert code == 1
+        assert "violated: surgery-exactness" in out
 
     def test_snf_deterministic_with_seed(self, capsys):
         code, out_a = run(
@@ -412,6 +433,152 @@ PINNED_REPORT = {
     "odd_wall": {"rank": 0, "torsion": []},
 }
 
+# the cohomotopy citations of pi_s^0(#_k CP^n), which both payloads lead with
+PI_S0_CITATIONS = {
+    3: ["0 -> pi_6^s -> pi_s^0(#_k CP^3) -> 0"],
+    4: [
+        "0 -> pi_8^s/Z_2 -> pi_s^0(#_k CP^4) -> sum_k pi_s^0(CP^3) -> 0",
+        "splits: the group is covered by k copies of pi_s^0(CP^4) = Z_2^2, "
+        "so it has no element of order 4",
+    ],
+    6: [
+        "0 -> pi_12^s/im((Sigma h)^*) -> pi_s^0(#_k CP^6) -> "
+        "sum_(k-1) pi_s^0(CP^5) + ker(h^*) -> 0",
+    ],
+    7: [
+        "0 -> pi_14^s/im((Sigma h)^*) -> pi_s^0(#_k CP^7) -> "
+        "sum_(k-1) pi_s^0(CP^6) + ker(h^*) -> 0",
+        "splits: 3-localization is Z_3^(k-1), and surjectivity from k "
+        "copies of Z_2^3 rules out order-4 elements",
+    ],
+}
+ETA_ISO = "eta: S^t_Diff -> N^t_Diff is an isomorphism for n = 3, 4, 6"
+COUNT_ZERO = (
+    "eta is an isomorphism and every tangential homotopy equivalence is "
+    "realized by a homeomorphism: count 0"
+)
+
+# `compute --invariant structure-set --k 2 --n <n> --json`
+PINNED_STRUCTURE_SET_K2 = {
+    3: {
+        "citations": PI_S0_CITATIONS[3] + [
+            "[#_k CP^3, PL/O] = 0: PL/O is 6-connected and the complex is "
+            "6-dimensional, so there is a unique concordance smoothing",
+            ETA_ISO,
+        ],
+        "derivation": COUNT_ZERO,
+        "exotic_count": 0,
+        "image_of_eta": {"rank": 0, "torsion": [2]},
+        "invariant": "structure-set", "k": 2, "n": 3,
+        "pl_group": {"rank": 0, "torsion": []},
+        "rank": 0, "torsion": [2],
+    },
+    4: {
+        "citations": PI_S0_CITATIONS[4] + [
+            "[#_k CP^4, PL/O] = Z_2: PL/O is 6-connected with pi_7 = Z_28 and "
+            "pi_8 = Z_2; the complex has one 8-cell and no 7-cells",
+            ETA_ISO,
+        ],
+        "derivation": "half of the smooth structure set: |S^t_Diff| / 2 = 2^k",
+        "exotic_count": 4,
+        "image_of_eta": {"rank": 0, "torsion": [2, 2, 2]},
+        "invariant": "structure-set", "k": 2, "n": 4,
+        "pl_group": {"rank": 0, "torsion": [2]},
+        "rank": 0, "torsion": [2, 2, 2],
+    },
+    6: {
+        "citations": PI_S0_CITATIONS[6] + [
+            "[#_k CP^6, PL/O] = Z_2^(2k-1) + Z_3^k, isomorphic to the 0th "
+            "stable cohomotopy of the connected sum",
+            ETA_ISO,
+        ],
+        "derivation": COUNT_ZERO,
+        "exotic_count": 0,
+        "image_of_eta": {"rank": 0, "torsion": [2, 6, 6]},
+        "invariant": "structure-set", "k": 2, "n": 6,
+        "pl_group": {"rank": 0, "torsion": [2, 6, 6]},
+        "rank": 0, "torsion": [2, 6, 6],
+    },
+    7: {
+        "citations": PI_S0_CITATIONS[7] + [
+            "[#_k CP^7, PL/O] = Z_2^(k+1) + Z_3^(k-1): index-2 subgroup of the "
+            "stable cohomotopy group, isomorphic on odd torsion",
+            "im(eta: S^t_Diff(#_k CP^7) -> N^t_Diff) is isomorphic to "
+            "S^t_PL(#_k CP^7)",
+        ],
+        "derivation": "im(eta) is isomorphic to the PL tangential smoothing set, "
+        "so every smooth class is PL-realized: count 0",
+        "exotic_count": 0,
+        "image_of_eta": {"rank": 0, "torsion": [2, 2, 6]},
+        "invariant": "structure-set", "k": 2, "n": 7,
+        "pl_group": {"rank": 0, "torsion": [2, 2, 6]},
+        "rank": 0, "torsion": [2, 2, 6],
+    },
+}
+
+ETA_INJECTIVE = "the odd Wall group vanishes, so eta is injective"
+
+# `report --sequence surgery --k 2 --n <n> --json`
+PINNED_REPORT_K2 = {
+    3: {
+        "citations": PI_S0_CITATIONS[3] + [
+            "the obstruction map out of k copies of pi_s^0(CP^3) vanishes",
+            ETA_INJECTIVE,
+        ],
+        "eta_injective": True,
+        "even_wall": {"rank": 0, "torsion": [2]},
+        "image_of_eta": {"rank": 0, "torsion": [2]},
+        "k": 2, "n": 3,
+        "normal_invariants": {"rank": 0, "torsion": [2]},
+        "obstruction_image_order": 1,
+        "obstruction_status": "zero",
+        "odd_wall": {"rank": 0, "torsion": []},
+    },
+    4: {
+        "citations": PI_S0_CITATIONS[4] + [
+            "the obstruction map out of k copies of pi_s^0(CP^4) vanishes",
+            ETA_INJECTIVE,
+        ],
+        "eta_injective": True,
+        "even_wall": {"rank": 1, "torsion": []},
+        "image_of_eta": {"rank": 0, "torsion": [2, 2, 2]},
+        "k": 2, "n": 4,
+        "normal_invariants": {"rank": 0, "torsion": [2, 2, 2]},
+        "obstruction_image_order": 1,
+        "obstruction_status": "zero",
+        "odd_wall": {"rank": 0, "torsion": []},
+    },
+    6: {
+        "citations": PI_S0_CITATIONS[6] + [
+            "eta is an isomorphism, so every normal invariant has zero obstruction",
+            ETA_INJECTIVE,
+        ],
+        "eta_injective": True,
+        "even_wall": {"rank": 1, "torsion": []},
+        "image_of_eta": {"rank": 0, "torsion": [2, 6, 6]},
+        "k": 2, "n": 6,
+        "normal_invariants": {"rank": 0, "torsion": [2, 6, 6]},
+        "obstruction_image_order": 1,
+        "obstruction_status": "zero",
+        "odd_wall": {"rank": 0, "torsion": []},
+    },
+    7: {
+        "citations": PI_S0_CITATIONS[7] + [
+            "the single-copy obstruction map to L_14 is a nonzero homomorphism "
+            "and the wedge-quotient map is surjective",
+            ETA_INJECTIVE,
+        ],
+        "eta_injective": True,
+        "even_wall": {"rank": 0, "torsion": [2]},
+        "image_of_eta": {"rank": 0, "torsion": [2, 2, 6]},
+        "k": 2, "n": 7,
+        "normal_invariants": {"rank": 0, "torsion": [2, 2, 2, 6]},
+        "obstruction_image_order": 2,
+        "obstruction_status": "nonzero-homomorphism",
+        "odd_wall": {"rank": 0, "torsion": []},
+    },
+}
+
 
 class TestPinnedPayloads:
     @pytest.mark.parametrize("args", list(PINNED_COMPUTE), ids=lambda a: a[0])
@@ -426,6 +593,22 @@ class TestPinnedPayloads:
         )
         assert code == 0
         assert json.loads(out) == PINNED_REPORT
+
+    @pytest.mark.parametrize("n", list(PINNED_STRUCTURE_SET_K2))
+    def test_structure_set_json_k2(self, capsys, n):
+        code, out = run(
+            capsys, "compute", "--invariant", "structure-set", "--k", "2", "--n", str(n), "--json"
+        )
+        assert code == 0
+        assert json.loads(out) == PINNED_STRUCTURE_SET_K2[n]
+
+    @pytest.mark.parametrize("n", list(PINNED_REPORT_K2))
+    def test_report_json_k2(self, capsys, n):
+        code, out = run(
+            capsys, "report", "--sequence", "surgery", "--k", "2", "--n", str(n), "--json"
+        )
+        assert code == 0
+        assert json.loads(out) == PINNED_REPORT_K2[n]
 
 
 class TestHugeIntegers:

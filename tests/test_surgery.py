@@ -2,7 +2,7 @@
 
 import pytest
 
-from cpsums import surgery, tables
+from cpsums import surgery, tables, verify
 from cpsums.cohomotopy import pi_s0_connected_sum
 from cpsums.fgab import FgAbGroup
 from cpsums.surgery import (
@@ -12,7 +12,6 @@ from cpsums.surgery import (
     kernel_f_star_rank,
     pl_over_o,
     structure_set,
-    surgery_sequence_report,
 )
 
 Z2 = FgAbGroup.cyclic(2)
@@ -132,8 +131,8 @@ class TestPlOverO:
 class TestStructureSet:
     def test_k2_n4(self):
         res = structure_set(2, 4)
-        assert res.smooth == two_group(3)
-        assert res.smooth.torsion_order() == 8
+        assert res.image_of_eta == two_group(3)
+        assert res.image_of_eta.torsion_order() == 8
         assert res.exotic_count == 4
 
     def test_k3_n5(self):
@@ -155,7 +154,7 @@ class TestStructureSet:
     def test_n4_count_is_half_the_smooth_set(self):
         for k in range(1, 11):
             res = structure_set(k, 4)
-            assert res.exotic_count == res.smooth.torsion_order() // 2
+            assert res.exotic_count == res.image_of_eta.torsion_order() // 2
 
     def test_k1_n5_out_of_domain(self):
         res = structure_set(1, 5)
@@ -200,8 +199,39 @@ class TestStructureSet:
             )
 
         monkeypatch.setattr(tables, "pl_over_o_entry", wrong_entry)
-        with pytest.raises(ValueError, match=r"\|im\(eta\)\| = 120 does not divide .* = 48"):
+        with pytest.raises(ValueError, match=r"not exact: \|N\^t_Diff\| = 48 .* = 120 \* 2"):
             structure_set(2, 7)
+
+    def test_n7_index_one_pl_table_raises(self, monkeypatch):
+        # a PL/O row equal to pi_s^0 divides it, but leaves no room for the
+        # nonzero obstruction at n = 7: exactness needs index 2
+        real = tables.pl_over_o_entry
+
+        def index_one_entry(k, n):
+            entry = real(k, n)
+            if n != 7:
+                return entry
+            return tables.TableEntry(
+                kind=entry.kind,
+                params=entry.params,
+                group=pi_s0_connected_sum(k, n).group,
+                citation=entry.citation,
+            )
+
+        monkeypatch.setattr(tables, "pl_over_o_entry", index_one_entry)
+        with pytest.raises(ValueError, match=r"not exact: \|N\^t_Diff\| = 48 .* = 48 \* 2"):
+            structure_set(2, 7)
+        report = verify.surgery_suite(k_range=range(2, 3), n_range=range(3, 8))
+        assert [f.prop for f in report.failures] == ["surgery-exactness"]
+        assert "n=7" in report.failures[0].detail
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 7])
+    def test_exactness_grid(self, n):
+        for k in range(1, 13):
+            res = structure_set(k, n)
+            assert res.normal_invariants.torsion_order() == (
+                res.image_of_eta.torsion_order() * res.obstruction_image_order
+            )
 
     def test_n4_half_count_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(
@@ -213,27 +243,27 @@ class TestStructureSet:
 
 class TestSurgerySequenceReport:
     def test_obstruction_statuses(self):
-        assert surgery_sequence_report(2, 3).obstruction_status == "zero"
-        assert surgery_sequence_report(2, 4).obstruction_status == "zero"
-        rep5 = surgery_sequence_report(2, 5)
+        assert structure_set(2, 3).obstruction_status == "zero"
+        assert structure_set(2, 4).obstruction_status == "zero"
+        rep5 = structure_set(2, 5)
         assert rep5.obstruction_status == "nonzero"
         assert rep5.obstruction_image_order == 2
-        assert surgery_sequence_report(2, 7).obstruction_status == "nonzero-homomorphism"
+        assert structure_set(2, 7).obstruction_status == "nonzero-homomorphism"
 
     def test_eta_always_injective(self):
         for n in range(3, 8):
-            rep = surgery_sequence_report(3, n)
+            rep = structure_set(3, n)
             assert rep.eta_injective
             assert rep.odd_wall.is_trivial
 
     def test_wall_groups_filled(self):
-        rep = surgery_sequence_report(2, 5)
+        rep = structure_set(2, 5)
         assert rep.even_wall == Z2  # L_10
-        rep = surgery_sequence_report(2, 4)
+        rep = structure_set(2, 4)
         assert rep.even_wall == FgAbGroup.free(1)  # L_8
 
     def test_render_mentions_sequence(self):
-        text = surgery_sequence_report(2, 5).render()
+        text = structure_set(2, 5).render()
         assert "L_11" in text and "L_10" in text and "S^t_Diff" in text
 
     @pytest.mark.parametrize("n", range(3, 8))
@@ -245,6 +275,7 @@ class TestSurgerySequenceReport:
             return pi_s0_connected_sum(k, n)
 
         monkeypatch.setattr(surgery, "pi_s0_connected_sum", counting)
-        rep = surgery_sequence_report(3, n)
+        rep = structure_set(3, n)
         assert calls == [(3, n)]
+        assert rep.normal_invariants == pi_s0_connected_sum(3, n).group
         assert rep.image_of_eta == structure_set(3, n).image_of_eta
