@@ -34,6 +34,10 @@ EXIT_AMBIGUOUS = 3
 # seconds, while k = 10**9 could not finish at all
 MAX_K_TIMES_N = 10**6
 
+# classify-extension factors each invariant factor and tests each --localized
+# prime by trial division, which past this size could run for hours
+MAX_FACTOR = 10**12
+
 
 def _emit(text: str):
     sys.stdout.write(text + "\n")
@@ -52,9 +56,14 @@ def _group_payload(group: FgAbGroup | AmbiguousResult) -> dict:
 
 def _parse_group(text: str) -> FgAbGroup:
     try:
-        return FgAbGroup.from_json(json.loads(text))
+        group = FgAbGroup.from_json(json.loads(text))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise SystemExit(_usage_error(f"bad group JSON {text!r}: {exc}"))
+    if group.exponent() > MAX_FACTOR:
+        raise SystemExit(
+            _usage_error(f"invariant factor {group.exponent()} exceeds the limit {MAX_FACTOR}")
+        )
+    return group
 
 
 def _usage_error(message: str) -> int:
@@ -192,12 +201,16 @@ def _cmd_classify(args) -> int:
     sub = _parse_group(args.sub)
     quot = _parse_group(args.quot)
     filters: list[SplittingFilter] = []
-    for order in args.no_order or []:
-        filters.append(SplittingFilter.no_element_of_order(order))
-    for prime, group_text in args.localized or []:
-        filters.append(
-            SplittingFilter.localization_at(int(prime), _parse_group(group_text))
-        )
+    try:
+        for order in args.no_order or []:
+            filters.append(SplittingFilter.no_element_of_order(order))
+        for prime, group_text in args.localized or []:
+            p = int(prime)
+            if p > MAX_FACTOR:
+                raise ValueError(f"prime {p} exceeds the limit {MAX_FACTOR}")
+            filters.append(SplittingFilter.localization_at(p, _parse_group(group_text)))
+    except ValueError as exc:
+        return _usage_error(str(exc))
     if args.torsion is not None:
         filters.append(SplittingFilter.torsion_equals(_parse_group(args.torsion)))
     if args.free_rank is not None:

@@ -125,8 +125,25 @@ class IntegerMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        rank, minor, sign = _bareiss([list(r) for r in self.entries])
-        return sign * minor if rank == self.rows else 0
+        n = self.rows
+        a = [list(r) for r in self.entries]
+        sign = prev = 1
+        for k in range(n):
+            pr = next((i for i in range(k, n) if a[i][k]), -1)
+            if pr < 0:
+                return 0
+            if pr != k:
+                a[k], a[pr] = a[pr], a[k]
+                sign = -sign
+            top = a[k]
+            p = top[k]
+            # every update divides exactly by the previous pivot
+            for row in a[k + 1 :]:
+                x = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * p - x * top[j]) // prev
+            prev = p
+        return sign * prev
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.determinant()) == 1
@@ -159,156 +176,6 @@ class IntegerMatrix:
         return "\n".join(" ".join(f"{x:4d}" for x in row) for row in self.entries)
 
 
-def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free (Bareiss) elimination of the rows ``a``, in place.
-
-    Each pivot is searched down the current column first and then in
-    later columns, so the pass also finds the rank of a singular or
-    rectangular matrix.  Returns ``(rank, minor, sign)``: ``minor`` is
-    the last pivot, which is the determinant of a nonsingular
-    ``rank x rank`` submatrix (1 when the rank is 0), and ``sign`` is
-    the parity of the row and column swaps.
-    """
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    sign = 1
-    prev = 1
-    for k in range(min(nr, nc)):
-        pr, pc = next(
-            ((i, j) for j in range(k, nc) for i in range(k, nr) if a[i][j]),
-            (-1, -1),
-        )
-        if pr < 0:
-            return k, prev, sign
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        if pc != k:
-            for row in a:
-                row[k], row[pc] = row[pc], row[k]
-            sign = -sign
-        top = a[k]
-        p = top[k]
-        for i in range(k + 1, nr):
-            row = a[i]
-            x = row[k]
-            for j in range(k + 1, nc):
-                row[j] = (row[j] * p - x * top[j]) // prev
-            row[k] = 0
-        prev = p
-    return min(nr, nc), prev, sign
-
-
-def _diagonalize(a, nr, nc, stop, modulus) -> int:
-    """Least-pivot Smith elimination of the ``nr x nc`` rows ``a`` modulo D.
-
-    Every entry is kept as a residue in (-D/2, D/2], D = ``modulus``.
-    Step t moves the least nonzero entry of the trailing block to
-    (t, t), a unit ranking first and scaled to 1, clears its row and
-    column by division with remainder and makes it divide the trailing
-    block, so the diagonal forms a divisibility chain.  Works in place
-    and returns the number of steps made before the trailing block was
-    zero or ``stop`` steps were done.
-    """
-    half = modulus // 2
-    # Before step t, rows and columns 0..t-1 of the block are zero off the
-    # diagonal, so every operation below starts at row or column t.
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a[t:]:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        if q:
-            a[dst][t:] = [
-                x - modulus if (x := (y + q * z) % modulus) > half else x
-                for y, z in zip(a[dst][t:], a[src][t:])
-            ]
-
-    def add_col(dst, src, q):
-        if q:
-            for row in a[t:]:
-                if row[src]:
-                    x = (row[dst] + q * row[src]) % modulus
-                    row[dst] = x - modulus if x > half else x
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-
-    # every unit ranks first: scaled to 1, it clears its row and column
-    # without a remainder
-    def size(x):
-        return 1 if gcd(x, modulus) == 1 else modulus + abs(x)
-
-    def pivot():
-        """(size, row, column) of the first least nonzero entry from (t, t) on."""
-        best = None
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                if row[j] and (best is None or size(row[j]) < best[0]):
-                    best = (size(row[j]), i, j)
-                    if best[0] == 1:
-                        return best
-        return best
-
-    t = 0
-    while t < stop:
-        best = pivot()
-        if best is None:
-            break
-        swap_rows(t, best[1])
-        swap_cols(t, best[2])
-        if best[0] == 1:
-            # row t times the inverse of its pivot: (1 + q) * row = row / pivot
-            add_row(t, t, pow(a[t][t], -1, modulus) - 1)
-        while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            p = a[t][t]
-            moved = False
-            for i in range(nr):
-                if i != t and a[i][t]:
-                    add_row(i, t, -(a[i][t] // p))
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        moved = True
-                        break
-            if moved:
-                continue
-            for j in range(nc):
-                if j != t and a[t][j]:
-                    add_col(j, t, -(a[t][j] // p))
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        moved = True
-                        break
-            if moved:
-                continue
-            # pivot must divide the trailing submatrix for the chain property
-            p = a[t][t]
-            if p == 1:
-                break
-            dirty = False
-            for i in range(t + 1, nr):
-                row = a[i]
-                for j in range(t + 1, nc):
-                    if row[j] % p:
-                        add_row(t, i, 1)
-                        dirty = True
-                        break
-                if dirty:
-                    break
-            if not dirty:
-                break
-        t += 1
-    return t
-
-
 def _hermite(
     rows: list[list[int]], width: int | None = None, positive: bool = True
 ) -> list[int]:
@@ -319,11 +186,13 @@ def _hermite(
     are reduced into [0, pivot), which keeps them small (Cohen, GTM 138,
     Alg. 2.4.5; Kannan and Bachem 1979).  With ``positive`` false the
     pivot keeps its sign and the entries above it have the same bound
-    in absolute value, for a caller that fixes signs once at the end.
-    Pivots are searched only in the first ``width`` columns (all of
-    them by default), so columns appended past ``width`` just record
-    the row operations.  Rows past the last pivot are zero in those
-    columns.
+    in absolute value; ``_smith_diagonal`` passes false and fixes the
+    signs once at the end.  Pivots are searched only in the first
+    ``width`` columns (all of them by default), so columns appended past
+    ``width``, such as the transform rows of ``smith_normal_form``, just
+    record the row operations.  Rows past the last pivot are zero in
+    those columns.  ``integer_kernel`` and the kernel-row pass of
+    ``smith_normal_form`` use the default positive form.
     """
     n = len(rows)
     pivots: list[int] = []
@@ -368,42 +237,27 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-def smith_normal_form(
-    m: IntegerMatrix,
-) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Return (u, d, v) with u*m*v = d, u and v unimodular, d diagonal.
+def _smith_diagonal(
+    block, width: int, u: list[list[int]], vt: list[list[int]]
+) -> list[int]:
+    """Nonzero Smith diagonal of the ``width``-column rows ``block``.
 
-    The diagonal is nonnegative with its zeros last, and its nonzero
-    entries form a divisibility chain d1 | d2 | ....  The transforms
-    come from alternating Hermite forms (Kannan and Bachem, SIAM J.
-    Comput. 8, 1979; Cohen, GTM 138, Alg. 2.4.5 and 2.4.14): the row
-    Hermite form of [m | I], with pivots only in the m columns, gives u
-    and a triangular block; the row Hermite form of [block^T | I] gives
-    v; the two passes alternate until the block is diagonal.  Every
-    pass reduces the entries above its pivots, so entries stay near the
-    size of the minors of m.  Extended-gcd steps on pairs,
-    diag(a, b) -> diag(g, ab/g), then make the diagonal a chain.  Where
-    a transform entry still exceeds the Hadamard bound of m, a Hermite
-    pass on the kernel rows of u or v^T, with the other rows reduced
-    modulo its pivots, shrinks it.  All arithmetic is exact, so the
-    routine is total on any integer matrix, including empty ones.
-    Callers that need only the diagonal or a kernel use
-    ``group_from_relations`` or ``integer_kernel``.
-
-    >>> m = IntegerMatrix([[2, 0], [0, 3]])
-    >>> u, d, v = smith_normal_form(m)
-    >>> d.diagonal()
-    (1, 6)
-    >>> (u @ m) @ v == d
-    True
+    The row Hermite form of the block gives a triangular block; the row
+    Hermite form of its transpose gives the next; the two passes
+    alternate until the block is diagonal (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979).  Every pass reduces the entries above its pivots,
+    so entries stay near the size of the minors of the block.  Signs
+    are then made positive and extended-gcd steps on pairs,
+    diag(a, b) -> diag(g, ab/g), make the diagonal a divisibility chain.
+    ``u`` and ``vt`` hold one row per block row and per block column;
+    each step applies to them what it does to the rows or columns of
+    the block, in place, so empty rows track nothing and the identity
+    rows track the transforms u and v^T of ``smith_normal_form``.
     """
-    nr, nc = m.rows, m.cols
-    block = m.entries
     # sides[0] is u and sides[1] is v^T; a pass acts on the rows of the
     # block and on the same rows of sides[turn]
-    sides = [_identity_rows(nr), _identity_rows(nc)]
+    sides = [u, vt]
     turn = 0
-    width = nc
     while True:
         side = sides[turn]
         rows = [[*x, *y] for x, y in zip(block, side)]
@@ -415,9 +269,8 @@ def smith_normal_form(
         block = [list(col) for col in zip(*block)]
         width = rank
         turn ^= 1
-    # The block is diagonal from (0, 0) on, so the zeros of d come last.
-    # Signs are fixed on u, then pairs of diagonal entries on the chain.
-    u, vt = sides
+    # The block is diagonal from (0, 0) on.  Signs are fixed on u, then
+    # pairs of diagonal entries on the chain.
     diag = [block[i][i] for i in range(rank)]
     for i, x in enumerate(diag):
         if x < 0:
@@ -443,6 +296,39 @@ def smith_normal_form(
             vt[i] = [p + q for p, q in zip(vi, vj)]
             vt[j] = [x * ag * q - y * bg * p for p, q in zip(vi, vj)]
             diag[i], diag[j] = g, ag * b
+    return diag
+
+
+def smith_normal_form(
+    m: IntegerMatrix,
+) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+    """Return (u, d, v) with u*m*v = d, u and v unimodular, d diagonal.
+
+    The diagonal is nonnegative with its zeros last, and its nonzero
+    entries form a divisibility chain d1 | d2 | ....  It comes from
+    alternating row Hermite forms of m and its transpose, run on
+    [m | I] and [block^T | I] so that the identity columns record u and
+    v (Kannan and Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138, Alg.
+    2.4.5 and 2.4.14), and extended-gcd steps on pairs put it on the
+    chain.  Where a transform entry still exceeds the Hadamard bound of
+    m, a Hermite pass on the kernel rows of u or v^T, with the other
+    rows reduced modulo its pivots, shrinks it.  All arithmetic is
+    exact, so the routine is total on any integer matrix, including
+    empty ones.  Callers that need only the diagonal or a kernel use
+    ``group_from_relations`` or ``integer_kernel``, which build no
+    transform.
+
+    >>> m = IntegerMatrix([[2, 0], [0, 3]])
+    >>> u, d, v = smith_normal_form(m)
+    >>> d.diagonal()
+    (1, 6)
+    >>> (u @ m) @ v == d
+    True
+    """
+    nr, nc = m.rows, m.cols
+    u, vt = _identity_rows(nr), _identity_rows(nc)
+    diag = _smith_diagonal(m.entries, nc, u, vt)
+    rank = len(diag)
     # u and v^T are fixed only up to adding kernel rows to the other rows.
     # Where an entry outgrew the Hadamard bound of m, a Hermite pass on
     # the kernel rows and a reduction of the other rows modulo its pivots
@@ -646,16 +532,13 @@ ZERO_GROUP = FgAbGroup.zero()
 def group_from_relations(generators: int, relations) -> FgAbGroup:
     """Canonical form of Z^generators / (row span of the relation matrix).
 
-    Only the Smith diagonal is needed, so the matrix is diagonalized
-    modulo its determinantal divisor (Cohen, GTM 138, Alg. 2.4.14;
-    Hafner and McCurley 1991), without transforms.  One Bareiss pass
-    gives the rank r and the absolute value D of a nonzero r x r minor,
-    which d_1 * ... * d_r divides.  The least-pivot elimination then
-    runs over Z/DZ, taking a unit pivot scaled to 1 wherever there is
-    one; this diagonalizes the lattice rows + D*Z^n, whose invariant
-    factors are d_1, ..., d_r, D, ..., D.  So d_t = gcd(a_tt, D) for
-    t < r, the factors past an early zero block equal D, and entries
-    never outgrow D.
+    The invariant factors are the nonzero Smith diagonal of the relation
+    matrix, which ``smith_normal_form`` reads from alternating row
+    Hermite forms of the matrix and its transpose, with extended-gcd
+    steps for the divisibility chain (Kannan and Bachem, SIAM J. Comput.
+    8, 1979; Cohen, GTM 138, Alg. 2.4.14).  Here the same loop runs
+    with no transform attached; the free rank is the number of
+    generators minus the length of the diagonal.
 
     >>> print(group_from_relations(3, [[2, 4, 0], [0, 6, 0]]))
     Z + Z_2 + Z_6
@@ -671,21 +554,8 @@ def group_from_relations(generators: int, relations) -> FgAbGroup:
         raise DimensionMismatch(
             f"relation matrix has {rel.cols} columns for {generators} generators"
         )
-    rank, minor, _ = _bareiss([list(row) for row in rel.entries])
-    modulus = abs(minor)
-    half = modulus // 2
-    a = [
-        [x - modulus if (x := y % modulus) > half else x for y in row]
-        for row in rel.entries
-    ]
-    steps = _diagonalize(a, rel.rows, rel.cols, rank, modulus)
-    factors = [gcd(a[t][t], modulus) for t in range(steps)]
-    factors += [modulus] * (rank - steps)
-    if modulus % prod(factors):
-        raise ArithmeticError(
-            f"invariant factors {factors} do not divide the {rank}x{rank} minor {modulus}"
-        )
-    return FgAbGroup(generators - rank, tuple(d for d in factors if d != 1))
+    diag = _smith_diagonal(rel.entries, generators, [[]] * rel.rows, [[]] * generators)
+    return FgAbGroup(generators - len(diag), tuple(d for d in diag if d != 1))
 
 
 def ext1(b: FgAbGroup, a: FgAbGroup) -> FgAbGroup:

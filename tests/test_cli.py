@@ -1,7 +1,11 @@
 """CLI behavior: verbs, flags, exit codes, JSON and text agreement."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,29 @@ class TestClassifyVerb:
         assert code == 0
         payload = json.loads(out)
         assert payload["rank"] == 0 and payload["torsion"] == [2, 6]
+
+
+    @pytest.mark.parametrize(
+        "filters",
+        [
+            ("--localized", "4", '{"rank":0,"torsion":[]}'),
+            ("--localized", "two", '{"rank":0,"torsion":[]}'),
+            ("--no-order", "1"),
+        ],
+        ids=["composite-prime", "non-integer-prime", "order-one"],
+    )
+    def test_bad_filter_is_a_usage_error(self, capsys, filters):
+        code = main(
+            [
+                "classify-extension",
+                "--sub", '{"rank":0,"torsion":[2]}',
+                "--quot", '{"rank":0,"torsion":[2]}',
+                *filters,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestReportVerb:
@@ -622,3 +649,29 @@ class TestHugeIntegers:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--sub", '{"rank":0,"torsion":[1208925819614629174706189]}',
+             "--quot", '{"rank":0,"torsion":[2]}'),
+            ("--sub", '{"rank":0,"torsion":[2]}', "--quot", '{"rank":0,"torsion":[2]}',
+             "--localized", "1208925819614629174706189", '{"rank":0,"torsion":[]}'),
+        ],
+        ids=["invariant-factor", "localized-prime"],
+    )
+    def test_factor_past_trial_division_refused(self, argv):
+        # trial division of 2^80 + 13 would not finish; a child
+        # process with a timeout fails this test instead of hanging it
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpsums.cli", "classify-extension", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"exceeds the limit {cli.MAX_FACTOR}" in proc.stderr

@@ -307,7 +307,8 @@ class TestGroupFromRelations:
             ), rows
 
     def test_factor_equal_to_modulus(self):
-        # the minor D of the modular pass is itself the last invariant factor
+        # the last invariant factor is the whole nonzero maximal minor D, so
+        # the group is cyclic of order D or Z^r + Z_D
         assert group_from_relations(1, [[5]]) == FgAbGroup.cyclic(5)
         assert group_from_relations(2, [[0, 6]]) == FgAbGroup(1, (6,))
         assert group_from_relations(2, [[2, 0], [0, 3]]) == FgAbGroup.cyclic(6)
@@ -318,6 +319,22 @@ class TestGroupFromRelations:
         assert group_from_relations(3, IntegerMatrix([], cols=3)) == FgAbGroup.free(3)
         assert group_from_relations(0, [[], []]) == FgAbGroup.zero()
         assert group_from_relations(0, []) == FgAbGroup.zero()
+
+    def test_runs_without_smith_normal_form(self, monkeypatch):
+        # the Smith diagonal comes from the Hermite loop, with no transform
+        def refuse(m):
+            raise RuntimeError("smith_normal_form called")
+
+        rng = random.Random(4049)
+        matrices, expected = [], []
+        for _ in range(100):
+            r, c, b = rng.randint(1, 9), rng.randint(1, 9), rng.choice((1, 5, 40))
+            m = IntegerMatrix([[rng.randint(-b, b) for _ in range(c)] for _ in range(r)], cols=c)
+            nonzero = [x for x in smith_normal_form(m)[1].diagonal() if x]
+            matrices.append(m)
+            expected.append(FgAbGroup(c - len(nonzero), tuple(x for x in nonzero if x != 1)))
+        monkeypatch.setattr(fgab, "smith_normal_form", refuse)
+        assert [group_from_relations(m.cols, m) for m in matrices] == expected
 
     def test_equals_snf_diagonal(self):
         rng = random.Random(8128)

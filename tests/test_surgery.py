@@ -2,7 +2,7 @@
 
 import pytest
 
-from cpsums import surgery, tables, verify
+from cpsums import cohomotopy, surgery, tables, verify
 from cpsums.cohomotopy import pi_s0_connected_sum
 from cpsums.fgab import FgAbGroup
 from cpsums.surgery import (
@@ -224,6 +224,21 @@ class TestStructureSet:
         report = verify.surgery_suite(k_range=range(2, 3), n_range=range(3, 8))
         assert [f.prop for f in report.failures] == ["surgery-exactness"]
         assert "n=7" in report.failures[0].detail
+
+    def test_suite_resolves_cohomotopy_twice_per_case(self, monkeypatch):
+        # once in f_over_o and once in structure_set, whose normal
+        # invariants the suite reads; no third, direct resolution
+        calls = []
+
+        def counting(k, n):
+            calls.append((k, n))
+            return pi_s0_connected_sum(k, n)
+
+        monkeypatch.setattr(cohomotopy, "pi_s0_connected_sum", counting)
+        monkeypatch.setattr(surgery, "pi_s0_connected_sum", counting)
+        report = verify.surgery_suite()
+        assert report.ok and report.cases == 25
+        assert len(calls) == 50
 
     @pytest.mark.parametrize("n", [3, 4, 6, 7])
     def test_exactness_grid(self, n):
