@@ -2,8 +2,8 @@
 
 Verbs: `compute` (any invariant), `classify-extension`, `report`,
 `verify` (the consistency suites), `tables` (dump the data file).
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 ambiguous result under --require-unique.
+Exit codes: 0 success, 1 verification failure, 2 usage error, bad table
+file or over-large extension, 3 ambiguous result under --require-unique.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from . import cohomotopy, ktheory, surgery, tables, verify
 from .extensions import (
     AmbiguousResult,
     EmptyAfterFiltering,
+    ExtensionSizeError,
     OracleBudgetError,
     ShortExactSequence,
     SplittingFilter,
@@ -218,7 +219,7 @@ def _cmd_classify(args) -> int:
     seq = ShortExactSequence(sub=sub, quot=quot)
     try:
         outcome = resolve(seq, filters)
-    except EmptyAfterFiltering as exc:
+    except (EmptyAfterFiltering, ExtensionSizeError) as exc:
         return _usage_error(str(exc))
     payload = {
         "sub": sub.to_json(),
@@ -289,7 +290,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    records = tables.all_raw_records()
+    try:
+        records = tables.all_raw_records()
+    except tables.TableError as exc:
+        return _usage_error(str(exc))
     if args.kind:
         records = [r for r in records if r["kind"] == args.kind]
         if not records:

@@ -3,16 +3,20 @@
 Each n has its own sequence shape (the n = 4 case takes k copies of
 pi_s^0(CP^3) on the quotient side, every other case takes k-1 copies of
 the next space down plus a Hopf kernel; n = 3 and n = 6 degenerate to
-isomorphisms).  The middle term is then pinned down by the splitting
-filters the case analysis supports: no element of order 4 for n = 4, 5,
-7, plus the 3-localization value for n = 7.  The n = 8 sequence admits
+isomorphisms).  The sub term pi_{2n}^s / im((Sigma h)^*) is the one
+quotient type that `outer_candidates_between` finds.  The middle term is
+then pinned down by the splitting filters the case analysis supports: no
+element of order 4 for n = 4, 5, 7, plus the 3-localization value for
+n = 7.  The n = 8 sequence admits
 two middle terms and no filter is available, so the result is reported
 as ambiguous rather than guessed.
 """
 
 from __future__ import annotations
 
-from . import tables
+from functools import lru_cache
+
+from . import extensions, tables
 from .extensions import ShortExactSequence, SplittingFilter, resolve
 from .fgab import FgAbGroup
 from .tables import Result
@@ -27,19 +31,17 @@ def _check_range(k: int, n: int):
         raise ValueError(f"n must lie in 3..8, got {n}")
 
 
+@lru_cache(maxsize=None)  # a few table pairs, asked again for every k
 def _quotient_by_image(stem: FgAbGroup, image: FgAbGroup) -> FgAbGroup:
-    """pi_{2n}^s / im((Sigma h)^*), by torsion-order bookkeeping.
-
-    The tabulated images here are 0 or a single Z_2 inside Z_2^2, so the
-    quotient is determined by orders; assert as much rather than assume.
-    """
-    if image.is_trivial:
-        return stem
-    if image != FgAbGroup.cyclic(2) or stem != FgAbGroup(0, (2, 2)):
+    """pi_{2n}^s / im((Sigma h)^*), the one quotient type the LR solver
+    allows; several types, or none, raise rather than pick (rule 2)."""
+    quotients = extensions.outer_candidates_between(stem, image)
+    if len(quotients) != 1:
         raise ValueError(
-            f"untabulated quotient shape: {stem} / {image}"
+            f"({stem}) / ({image}): {len(quotients)} quotient types fit, not one: "
+            "{" + ", ".join(map(str, quotients)) + "}"
         )
-    return FgAbGroup.cyclic(2)
+    return quotients[0]
 
 
 def _sum_of(copies: int, g: FgAbGroup) -> FgAbGroup:

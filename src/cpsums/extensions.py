@@ -1,19 +1,19 @@
-"""Middle terms of short exact sequences of f.g. abelian groups.
+"""Short exact sequences 0 -> A -> G -> B -> 0 of f.g. abelian groups.
 
-`middle_candidates` lists every isomorphism class G fitting into
-0 -> A -> G -> B -> 0, working prime by prime: a p-group of type lambda
-admits a subgroup of type mu with quotient of type nu exactly when a
-Littlewood-Richardson tableau of shape lambda/mu and content nu exists
-(Hall's subgroup count is nonzero iff the LR coefficient is).  Only
-shapes in the dominance interval [mu u nu, mu + nu] are tested: when
-c^lam_{mu,nu} is nonzero, lam dominates the union mu u nu (all parts of
-both, sorted) and is dominated by the sum mu + nu (added part by part);
-Macdonald, *Symmetric Functions and Hall Polynomials*, Ch. I Sec. 9.
-The interval has polynomially many shapes where the full partition scan
-of |mu| + |nu| grows exponentially.  The
-independent oracle `brute_force_middle_terms` instead enumerates the
-candidate groups element by element and searches for an actual subgroup
-with the right quotient.
+Each unknown term is solved prime by prime: a p-group of type lam has a
+subgroup of type mu with quotient of type nu exactly when the
+Littlewood-Richardson coefficient c^lam_{mu,nu} is nonzero (Hall;
+Macdonald, *Symmetric Functions and Hall Polynomials*, Ch. II (4.3)).
+`middle_candidates` lists every G, testing only the shapes lam in the
+dominance interval [mu u nu, mu + nu]: when c^lam_{mu,nu} is nonzero,
+lam dominates the union mu u nu (all parts of both, sorted) and is
+dominated by the sum mu + nu (added part by part); Macdonald, Ch. I
+Sec. 9.  `outer_candidates_between` lists every B for given A and G,
+which by the symmetry of c is also every A for given G and B.  Both
+spend at most `EXTENSION_WORK_LIMIT` on listing shapes, before any
+tableau test.  The independent oracle `brute_force_middle_terms`
+instead enumerates the candidate groups element by element and searches
+for an actual subgroup with the right quotient.
 
 `resolve` intersects the candidate list with splitting filters (no
 element of a given order, prescribed localization, ...) and either
@@ -24,7 +24,7 @@ them; it never picks silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, product, zip_longest
 from math import gcd, lcm, prod
 
@@ -32,7 +32,7 @@ from .fgab import FgAbGroup, factorint, is_prime
 
 
 class ExtensionSizeError(ValueError):
-    """The brute-force oracle only accepts |A| * |B| <= 2**12."""
+    """Too large for the oracle (|A| * |B| > 2**12) or the LR route."""
 
 
 class OracleBudgetError(RuntimeError):
@@ -47,6 +47,30 @@ ORACLE_ORDER_LIMIT = 2**12
 # work units for one subgroup census: coset elements walked plus
 # translation-row entries built
 ORACLE_BUDGET = 80_000_000
+# LR work units per enumeration (shape cells, candidate groups); pi_s^0 needs < 10**6
+EXTENSION_WORK_LIMIT = 2_000_000
+
+
+def _sub_partitions(lam: tuple[int, ...], size: int):
+    """Yield the partitions x of `size` with x_i <= lam_i, in descending
+    lexicographic order, one run of equal parts at a time: the recursion is
+    as deep as lam's largest part, not its part count (up to 10**5).  A run
+    goes in only if the slots after it can take the rest, counted from
+    columns[c] = #{j : lam_j > c}, so no branch is a dead end."""
+    columns = [sum(part > c for part in lam) for c in range(max(lam, default=0))]
+
+    def runs(i: int, rest: int, below: int):
+        if rest == 0:
+            yield ()
+        for v in range(min(below - 1, rest), 0, -1):
+            for m in range(min(columns[v - 1] - i, rest // v), 0, -1):
+                if rest - m * v > sum(max(0, c - i - m) for c in columns[: v - 1]):
+                    break
+                for tail in runs(i + m, rest - m * v, v):
+                    yield (v,) * m + tail
+
+    if 0 <= size <= sum(lam):
+        yield from runs(0, size, len(columns) + 1)
 
 
 def partitions(n: int):
@@ -55,16 +79,7 @@ def partitions(n: int):
     >>> sorted(partitions(4))
     [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
     """
-
-    def gen(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    yield from gen(n, n)
+    yield from _sub_partitions((n,) * n, n)
 
 
 def _contains(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
@@ -194,33 +209,92 @@ def dominance_interval(mu: tuple[int, ...], nu: tuple[int, ...]):
         else:
             return
 
+class _Budget:
+    __slots__ = ("left", "error")
+
+    def __init__(self, amount: int = EXTENSION_WORK_LIMIT, error: Exception | None = None):
+        self.left = amount
+        self.error = error or ExtensionSizeError(f"the LR route needs over {amount} work units")
+
+    def spend(self, amount: int):
+        self.left -= amount
+        if self.left < 0:
+            raise self.error
+
+
+def _per_prime_product(left, right, search, budget: _Budget, free_rank: int = 0):
+    """Z^free_rank + sum_p (p-group of type x_p) for each x_p that search(lam_p,
+    nu_p) = (shapes, keep) yields and keeps, lam_p and nu_p the p-types of left
+    and right.  Shape cells, then the candidate product, are spent first."""
+    lams, nus = left.primary_exponents(), right.primary_exponents()
+    primes = sorted(lams.keys() | nus.keys())
+    listed, keeps = [], []
+    for p in primes:
+        shapes, keep = search(lams.get(p, ()), nus.get(p, ()))
+        listed.append([])
+        for shape in shapes:
+            budget.spend(sum(shape))
+            listed[-1].append(shape)
+        keeps.append(keep)
+    budget.spend(prod(map(len, listed)))
+    return sorted(
+        FgAbGroup.from_primary(dict(zip(primes, combo)), free_rank=free_rank)
+        for combo in product(*map(filter, keeps, listed))
+    )
+
+
+def _middle_search(mu: tuple[int, ...], nu: tuple[int, ...]):
+    return dominance_interval(mu, nu), partial(lr_positive, mu=mu, nu=nu)
+
+
+def _outer_search(lam: tuple[int, ...], nu: tuple[int, ...]):
+    # the tableau fills lam/x with content nu: |nu| cells, not |x|
+    return _sub_partitions(lam, sum(lam) - sum(nu)), partial(lr_positive, lam, nu=nu)
+
+
+def _short_cotype_search(lam: tuple[int, ...], bound: tuple[int, ...]):
+    """Every shape x inside lam, kept if the p-group of type lam has a
+    subgroup of type x whose cotype lies inside bound."""
+    total = sum(lam)
+    shapes = (x for size in range(total + 1) for x in _sub_partitions(lam, size))
+
+    def keep(x):
+        return any(lr_positive(lam, x, nu) for nu in _sub_partitions(bound, total - sum(x)))
+
+    return shapes, keep
+
 
 def middle_candidates_between(sub: FgAbGroup, quot: FgAbGroup) -> list[FgAbGroup]:
     """All isomorphism classes of middle terms of 0 -> sub -> G -> quot -> 0.
 
-    Free parts split off (a free quotient always splits; a free subgroup
-    summand is carried across unchanged), leaving a torsion extension
-    problem solved prime by prime via LR positivity.  Per prime, only the
-    shapes lam in the dominance interval [mu u nu, mu + nu] are tested:
-    c^lam_{mu,nu} != 0 forces mu u nu <= lam <= mu + nu (Macdonald,
-    *Symmetric Functions and Hall Polynomials*, Ch. I Sec. 9).  The
-    interval only prunes; `lr_positive` decides every shape inside it.
+    A free quotient splits off.  Write sub = Z^a + T and B = tors(quot).
+    Then G = Z^(a + rank quot) + M, where C = M/T is a subgroup of B with
+    B/C a quotient of Z^a, so of at most a parts, and M is a middle term
+    of T by C.  Per prime, M is decided by `lr_positive` on the shapes of
+    the dominance interval [mu u nu, mu + nu], which only prunes.
     """
-    rank = sub.free_rank + quot.free_rank
-    mu_primary = sub.primary_exponents()
-    nu_primary = quot.primary_exponents()
-    primes = sorted(set(mu_primary) | set(nu_primary))
-    per_prime: list[list[tuple[int, ...]]] = []
-    for p in primes:
-        mu = mu_primary.get(p, ())
-        nu = nu_primary.get(p, ())
-        lams = [lam for lam in dominance_interval(mu, nu) if lr_positive(lam, mu, nu)]
-        per_prime.append(lams)
-    out = [
-        FgAbGroup.from_primary(dict(zip(primes, combo)), free_rank=rank)
-        for combo in product(*per_prime)
-    ]
+    rank, a = sub.free_rank + quot.free_rank, sub.free_rank
+    budget = _Budget()
+    if not a:  # then C = B
+        return _per_prime_product(sub, quot, _middle_search, budget, rank)
+    # a type of at most a parts lies inside that of B's a largest factors
+    widest = FgAbGroup.from_cyclic_orders(*quot.invariant_factors[-a:])
+    out = set()
+    for c in _per_prime_product(quot.torsion(), widest, _short_cotype_search, budget):
+        out.update(_per_prime_product(sub.torsion(), c, _middle_search, budget, rank))
     return sorted(out)
+
+
+def outer_candidates_between(group: FgAbGroup, known: FgAbGroup) -> list[FgAbGroup]:
+    """Every X with 0 -> known -> group -> X -> 0, for finite groups; by the
+    symmetry of c, also every X with 0 -> X -> group -> known -> 0.  Per
+    prime, for group of type lam and known of type nu, X has a type x
+    inside lam with |x| = |lam| - |nu| and c^lam_{x,nu} != 0."""
+    if not (group.is_finite and known.is_finite):
+        raise ValueError(f"the outer solver needs finite groups, got {group} and {known}")
+    if known.is_trivial:
+        return [group]
+    return _per_prime_product(group, known, _outer_search, _Budget())
 
 
 # -- brute-force oracle ------------------------------------------------------
@@ -228,18 +302,6 @@ def middle_candidates_between(sub: FgAbGroup, quot: FgAbGroup) -> list[FgAbGroup
 
 def _element_order(vec: tuple[int, ...], orders: tuple[int, ...]) -> int:
     return lcm(*(o // gcd(o, x) for o, x in zip(orders, vec))) if vec else 1
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, amount: int):
-        self.left = amount
-
-    def spend(self, amount: int):
-        self.left -= amount
-        if self.left < 0:
-            raise OracleBudgetError("subgroup enumeration budget exhausted")
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +384,9 @@ def _subgroup_census(p: int, lam: tuple[int, ...]) -> frozenset:
             if gcd(m, ord_i) == 1:
                 covered[index([m * a for a in vec])] = 1
 
-    budget = _Budget(ORACLE_BUDGET)
+    budget = _Budget(
+        ORACLE_BUDGET, OracleBudgetError("subgroup enumeration budget exhausted")
+    )
     rows: dict[int, list[int]] = {}
 
     def shift_row(g: int) -> list[int]:
@@ -522,38 +586,11 @@ class SplittingFilter:
 
 @dataclass(frozen=True)
 class ShortExactSequence:
-    """Record of 0 -> sub -> middle -> quot -> 0 with middle optional.
-
-    An asserted middle is validated by rank and torsion-order
-    accounting and, when sub and quot are finite, by membership in
-    `middle_candidates_between`, the route `middle_candidates` takes.
-    That test is polynomial at any order; the subgroup census of the
-    oracle is not, and acceptance criterion 4 checks the LR route
-    against it.
-    """
+    """Record of 0 -> sub -> G -> quot -> 0 with G unknown."""
 
     sub: FgAbGroup
     quot: FgAbGroup
-    middle: FgAbGroup | None = None
     provenance: str = ""
-
-    def __post_init__(self):
-        if self.middle is None:
-            return
-        g = self.middle
-        if g.free_rank != self.sub.free_rank + self.quot.free_rank:
-            raise ValueError("middle term has the wrong free rank")
-        if (
-            g.torsion().torsion_order()
-            != self.sub.torsion_order() * self.quot.torsion_order()
-        ):
-            raise ValueError("middle term has the wrong torsion order")
-        if self.sub.is_finite and self.quot.is_finite:
-            if g not in middle_candidates_between(self.sub, self.quot):
-                raise ValueError(
-                    f"{g} is not a middle term of the sequence "
-                    f"0 -> {self.sub} -> G -> {self.quot} -> 0"
-                )
 
 
 def middle_candidates(seq: ShortExactSequence) -> list[FgAbGroup]:

@@ -10,8 +10,11 @@ the structure sets and the exotic-manifold counts.
 
 `structure_set` returns that sequence as one `StructureSetResult`, which
 both `compute --invariant structure-set` and `report --sequence surgery`
-print.  Where the obstruction map is a homomorphism (n = 3, 4, 6, 7) the
-result is checked by exactness, |N^t_Diff| = |im(eta)| * |im(theta)|.
+print.  Where the obstruction map theta is a homomorphism (n = 3, 4, 6, 7),
+im(eta) = ker(theta) is derived: it is the one subgroup type of N^t_Diff
+with cotype im(theta) that `outer_candidates_between` finds.  At n = 6, 7
+the PL/O row must be isomorphic to it.  At n = 5, where theta is only
+known to be nonzero, the image is stored.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ from dataclasses import dataclass
 
 from . import tables
 from .cohomotopy import pi_s0_connected_sum
-from .extensions import AmbiguousResult
+from .extensions import AmbiguousResult, outer_candidates_between
 from .fgab import FgAbGroup
 from .ktheory import ko_group_formula_any_k
 from .tables import Result
+
+
+class InexactSequence(ValueError):
+    """The data contradict the surgery sequence (im(eta), PL/O, the count)."""
 
 
 class AmbiguousUpstream(ValueError):
@@ -188,13 +195,26 @@ def structure_set(k: int, n: int) -> StructureSetResult:
     pl_entry = tables.pl_over_o_entry(k, n)
     pl = pl_entry.group
     note = ""
+    if n == 5:
+        image = FgAbGroup.from_primary({2: [1] * (2 * k - 1)})
+    else:
+        # eta is injective and im(eta) = ker(theta), the subgroup of N^t_Diff
+        # whose cotype is im(theta): 0, or L_{2n} = Z_2 where theta is nonzero
+        theta = FgAbGroup.cyclic(1 if _OBSTRUCTION_STATUS[n][0] == "zero" else 2)
+        images = outer_candidates_between(normal, theta)
+        if len(images) != 1 or n in (6, 7) and images != [pl]:
+            raise InexactSequence(
+                f"im(eta) = ker(theta) in N^t_Diff = {normal} must be one type, at n = 6, 7"
+                f" that of [#_k CP^n, PL/O] = {pl}; it is {{{', '.join(map(str, images))}}}"
+                f" for k={k}, n={n}"
+            )
+        image = images[0]
     if n in (3, 4, 6):
-        image = normal
         if n == 4:
             exotic = 2**k
             derivation = "half of the smooth structure set: |S^t_Diff| / 2 = 2^k"
             if exotic != normal.torsion_order() // 2:
-                raise ValueError(
+                raise InexactSequence(
                     f"exotic count 2^{k} is not half of |S^t_Diff| = "
                     f"{normal.torsion_order()} for k={k}, n=4"
                 )
@@ -206,7 +226,6 @@ def structure_set(k: int, n: int) -> StructureSetResult:
             )
         eta_citation = "eta: S^t_Diff -> N^t_Diff is an isomorphism for n = 3, 4, 6"
     elif n == 5:
-        image = FgAbGroup.from_primary({2: [1] * (2 * k - 1)})
         if k >= 2:
             exotic = 2 ** (k - 2)
             derivation = "stored count 2^(k-2); the passage from structure-set "
@@ -223,7 +242,6 @@ def structure_set(k: int, n: int) -> StructureSetResult:
             "the obstruction map to L_10 is nonzero"
         )
     else:  # n == 7
-        image = pl
         exotic = 0
         derivation = (
             "im(eta) is isomorphic to the PL tangential smoothing set, "
@@ -233,12 +251,7 @@ def structure_set(k: int, n: int) -> StructureSetResult:
             "im(eta: S^t_Diff(#_k CP^7) -> N^t_Diff) is isomorphic to "
             "S^t_PL(#_k CP^7)"
         )
-    if n == 6 and image.torsion_order() != pl.torsion_order():
-        raise ValueError(
-            f"|im(eta)| = {image.torsion_order()} differs from "
-            f"|[#_k CP^n, PL/O]| = {pl.torsion_order()} for k={k}, n={n}"
-        )
-    result = StructureSetResult(
+    return StructureSetResult(
         k=k,
         n=n,
         normal_invariants=normal,
@@ -251,18 +264,6 @@ def structure_set(k: int, n: int) -> StructureSetResult:
         eta_citation=eta_citation,
         note=note,
     )
-    # eta is injective and im(eta) = ker(theta); where theta is a
-    # homomorphism, exactness gives |N| = |im(eta)| * |im(theta)|.  At n = 5
-    # theta is only known to be nonzero, so there is nothing to check.
-    if result.obstruction_status != "nonzero":
-        index = result.obstruction_image_order
-        if normal.torsion_order() != image.torsion_order() * index:
-            raise ValueError(
-                f"the surgery sequence is not exact: |N^t_Diff| = "
-                f"{normal.torsion_order()} but |im(eta)| * |im(theta)| = "
-                f"{image.torsion_order()} * {index} for k={k}, n={n}"
-            )
-    return result
 
 
 _OBSTRUCTION_STATUS = {

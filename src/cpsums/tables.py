@@ -220,25 +220,29 @@ def _record_key(rec, where: str) -> tuple:
 
 @lru_cache(maxsize=8)
 def _load(path: str) -> dict[tuple, dict]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TableError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     records: dict[tuple, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TableError(f"{where}: not valid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise TableError(f"{where}: expected a JSON object, got {type(rec).__name__}")
-            if not rec.get("citation"):
-                raise TableError(f"{where}: record {rec.get('kind')!r} lacks a citation")
-            key = _record_key(rec, where)
-            if key in records:
-                raise TableError(f"{where}: duplicate record {key}")
-            records[key] = rec
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TableError(f"{where}: not valid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise TableError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+        if not rec.get("citation"):
+            raise TableError(f"{where}: record {rec.get('kind')!r} lacks a citation")
+        key = _record_key(rec, where)
+        if key in records:
+            raise TableError(f"{where}: duplicate record {key}")
+        records[key] = rec
     return records
 
 

@@ -181,6 +181,19 @@ class TestClassifyVerb:
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+    def test_free_sub_is_not_unique(self, capsys):
+        # Z --x2--> Z gives G = Z, besides the split Z + Z_2
+        code, out = run(
+            capsys,
+            "classify-extension",
+            "--sub", '{"rank":1,"torsion":[]}',
+            "--quot", '{"rank":0,"torsion":[2]}',
+            "--require-unique",
+        )
+        assert code == 3
+        assert out.splitlines()[1:] == ["  Z", "  Z + Z_2"]
+
+
 class TestReportVerb:
     def test_text_render(self, capsys):
         code, out = run(capsys, "report", "--sequence", "surgery", "--k", "2", "--n", "5")
@@ -276,6 +289,40 @@ class TestVerifyVerb:
         assert time.perf_counter() - start < 1.0
         assert captured.out == ""
         assert captured.err == "error: subgroup enumeration budget exhausted\n"
+
+
+class TestTableFileErrors:
+    """An unreadable or malformed data file is a usage error (exit 2), never
+    a failed verification (exit 1)."""
+
+    @staticmethod
+    def _malformed(tmp_path, monkeypatch):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"kind": "stable_stem", "params": {"n": 6}\n', encoding="utf-8")
+        monkeypatch.setenv("FGAB_TABLES", str(path))
+
+    def test_missing_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("FGAB_TABLES", str(tmp_path / "missing.jsonl"))
+        code = main(["compute", "--invariant", "pi-s0", "--k", "2", "--n", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_malformed_file_in_tables_verb(self, capsys, tmp_path, monkeypatch):
+        self._malformed(tmp_path, monkeypatch)
+        code = main(["tables"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "not valid JSON" in captured.err
+
+    def test_malformed_file_is_not_a_surgery_violation(self, capsys, tmp_path, monkeypatch):
+        self._malformed(tmp_path, monkeypatch)
+        code = main(["verify", "--suite", "surgery"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "surgery-exactness" not in captured.out
+        assert captured.err.startswith("error: ")
 
 
 class TestTablesVerb:
@@ -675,3 +722,26 @@ class TestHugeIntegers:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert f"exceeds the limit {cli.MAX_FACTOR}" in proc.stderr
+
+    def test_oversized_extension_refused(self):
+        # about 10**5 shapes of 56 cells in the dominance interval; the LR
+        # route stops at its work limit before any tableau test
+        group = '{"rank":0,"torsion":[2,4,8,16,32,64,128]}'
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpsums.cli", "classify-extension",
+             "--sub", group, "--quot", group],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_largest_admitted_sequence_is_within_the_work_limit(self, capsys):
+        # k*n = 10**6, the CLI's limit: two shapes of 375,000 cells at p = 2
+        assert main(["compute", "--invariant", "pi-s0", "--k", "125000", "--n", "8"]) == 0
+        assert "ambiguous between" in capsys.readouterr().out

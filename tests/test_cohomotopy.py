@@ -37,6 +37,16 @@ class TestBuildSequence:
         total = seq.sub.torsion_order() * seq.quot.torsion_order()
         assert total == 2**5 * 3**2
 
+    def test_stem_quotient_with_several_types_raises(self, monkeypatch):
+        # Z_2 + Z_4 has two subgroups Z_2 with different quotients; the
+        # sequence must name both rather than pick one
+        stems = {8: FgAbGroup(0, (2, 4))}
+        real = tables.stable_stem
+        monkeypatch.setattr(tables, "stable_stem", lambda n: stems.get(n) or real(n))
+        with pytest.raises(ValueError) as info:
+            build_sequence(2, 4)
+        assert "Z_4" in str(info.value) and "Z_2^2" in str(info.value)
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             build_sequence(0, 5)

@@ -9,8 +9,8 @@ of each.  The slices are:
   per ``n = 1..12`` over ``k = 1..8`` and ``k = 100``;
 - ``verify --suite all`` at the default seed;
 - the stdout of each demo;
-- finite ``classify-extension`` cases.  Sequences with free parts are
-  left out: their middle terms are known to be incomplete.
+- ``classify-extension`` cases, finite ones and ones with free parts
+  (a free sub can meet the torsion of the quotient, as in Z --x2--> Z).
 
 ``output_grid.json`` holds the digests.  A digest may change only with
 an output change that CHANGES.md declares and explains.  To print the
@@ -48,6 +48,10 @@ _GROUPS = {
     "2,6": '{"rank":0,"torsion":[2,6]}',
     "4,12": '{"rank":0,"torsion":[4,12]}',
     "8": '{"rank":0,"torsion":[8]}',
+    "Z": '{"rank":1,"torsion":[]}',
+    "Z+2": '{"rank":1,"torsion":[2]}',
+    "Z+4": '{"rank":1,"torsion":[4]}',
+    "Z^2": '{"rank":2,"torsion":[]}',
 }
 _CLASSIFY = (
     ("2", "2"),
@@ -65,10 +69,21 @@ _CLASSIFY = (
     ("2", "2", "--no-order", "2"),
     ("2", "not json"),
 )
+_CLASSIFY_FREE = (
+    ("Z", "2"),
+    ("Z", "2", "--require-unique"),
+    ("Z", "2,4", "--no-order", "4"),
+    ("Z", "Z+2"),
+    ("Z+2", "4"),
+    ("Z+4", "2,2", "--torsion", _GROUPS["2,4"]),
+    ("Z^2", "2,4"),
+    ("2", "Z+4"),
+    ("Z", "Z"),
+)
 
 
-def _classify_argv():
-    for sub, quot, *filters in _CLASSIFY:
+def _classify_argv(cases):
+    for sub, quot, *filters in cases:
         argv = [
             "classify-extension",
             "--sub", _GROUPS[sub],
@@ -98,7 +113,8 @@ def slices():
             _sized_argv(["report", "--sequence", "surgery"], n)
         )
     out["verify/all"] = [["verify", "--suite", "all"]]
-    out["classify-extension/finite"] = list(_classify_argv())
+    out["classify-extension/finite"] = list(_classify_argv(_CLASSIFY))
+    out["classify-extension/free"] = list(_classify_argv(_CLASSIFY_FREE))
     for path in DEMOS:
         out[f"demo/{path.name}"] = path
     return out

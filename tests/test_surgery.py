@@ -169,7 +169,8 @@ class TestStructureSet:
 
     def test_pl_order_mismatch_raises(self, monkeypatch):
         # an explicit raise, so the check also holds under python -O; at
-        # n = 6 the image of eta is pi_s^0, which the PL/O table must match
+        # n = 6 the image of eta is pi_s^0, to which the PL/O row must be
+        # isomorphic
         real = tables.pl_over_o_entry
 
         def wrong_entry(k, n):
@@ -182,11 +183,14 @@ class TestStructureSet:
             )
 
         monkeypatch.setattr(tables, "pl_over_o_entry", wrong_entry)
-        with pytest.raises(ValueError, match="differs from"):
+        with pytest.raises(
+            ValueError, match=r"PL/O\] = Z_2\^2 \+ Z_6\^2; it is \{Z_2 \+ Z_6\^2\}"
+        ):
             structure_set(2, 6)
 
     def test_n7_image_order_must_divide_normal_invariants(self, monkeypatch):
-        # at n = 7 the image of eta is the PL/O group, a subgroup of pi_s^0
+        # at n = 7 the PL/O row must be isomorphic to im(eta) = ker(theta),
+        # the index-2 subgroup Z_2^2 + Z_6 of pi_s^0 = Z_2^3 + Z_6
         real = tables.pl_over_o_entry
 
         def wrong_entry(k, n):
@@ -199,12 +203,12 @@ class TestStructureSet:
             )
 
         monkeypatch.setattr(tables, "pl_over_o_entry", wrong_entry)
-        with pytest.raises(ValueError, match=r"not exact: \|N\^t_Diff\| = 48 .* = 120 \* 2"):
+        with pytest.raises(ValueError, match=r"= Z_2\^2 \+ Z_30; it is \{Z_2\^2 \+ Z_6\}"):
             structure_set(2, 7)
 
     def test_n7_index_one_pl_table_raises(self, monkeypatch):
-        # a PL/O row equal to pi_s^0 divides it, but leaves no room for the
-        # nonzero obstruction at n = 7: exactness needs index 2
+        # a PL/O row equal to pi_s^0 leaves no room for the nonzero
+        # obstruction at n = 7: im(eta) = ker(theta) has index 2
         real = tables.pl_over_o_entry
 
         def index_one_entry(k, n):
@@ -219,7 +223,7 @@ class TestStructureSet:
             )
 
         monkeypatch.setattr(tables, "pl_over_o_entry", index_one_entry)
-        with pytest.raises(ValueError, match=r"not exact: \|N\^t_Diff\| = 48 .* = 48 \* 2"):
+        with pytest.raises(ValueError, match=r"= Z_2\^3 \+ Z_6; it is \{Z_2\^2 \+ Z_6\}"):
             structure_set(2, 7)
         report = verify.surgery_suite(k_range=range(2, 3), n_range=range(3, 8))
         assert [f.prop for f in report.failures] == ["surgery-exactness"]
