@@ -3,7 +3,7 @@
 Core layers:
 
 - ``fgab``: exact arithmetic on finitely generated abelian groups
-  (Smith normal form, kernels/cokernels, Ext, localization);
+  (Smith normal form, kernels/cokernels, localization);
 - ``extensions``: classification of middle terms of short exact
   sequences, with a brute-force oracle and splitting filters;
 - ``tables``: citation-annotated input data (stable stems, single-copy
@@ -20,7 +20,6 @@ from .fgab import (
     FgAbGroup,
     Homomorphism,
     IntegerMatrix,
-    ext1,
     group_from_relations,
     hom_cokernel,
     hom_image,
@@ -73,7 +72,6 @@ __all__ = [
     "build_sequence",
     "complex_k0",
     "complex_k_minus1",
-    "ext1",
     "f_over_o",
     "f_over_pl",
     "group_from_relations",

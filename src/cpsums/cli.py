@@ -363,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=tuple(verify.SUITES) + ("all",),
     )
-    verify_cmd.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    verify_cmd.add_argument("--seed", type=int, default=verify.DEFAULT_SEED,
+                            help="seed of the snf suite's random matrices; "
+                            "no other suite reads it")
     verify_cmd.add_argument("--max-order", type=int, default=64)
     verify_cmd.add_argument("--cases", type=int, default=200,
                             help="random matrix count for the snf suite")

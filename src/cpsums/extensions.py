@@ -253,10 +253,12 @@ def _outer_search(lam: tuple[int, ...], nu: tuple[int, ...]):
 
 
 def _short_cotype_search(lam: tuple[int, ...], bound: tuple[int, ...]):
-    """Every shape x inside lam, kept if the p-group of type lam has a
-    subgroup of type x whose cotype lies inside bound."""
+    """Every shape x inside lam with |x| >= |lam| - |bound|, kept if the
+    p-group of type lam has a subgroup of type x whose cotype lies inside
+    bound; a smaller x leaves a cotype of more cells than bound has."""
     total = sum(lam)
-    shapes = (x for size in range(total + 1) for x in _sub_partitions(lam, size))
+    sizes = range(max(0, total - sum(bound)), total + 1)
+    shapes = (x for size in sizes for x in _sub_partitions(lam, size))
 
     def keep(x):
         return any(lr_positive(lam, x, nu) for nu in _sub_partitions(bound, total - sum(x)))

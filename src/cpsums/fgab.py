@@ -88,20 +88,9 @@ class IntegerMatrix:
         self.cols = cols
         return self
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
@@ -145,19 +134,8 @@ class IntegerMatrix:
             prev = p
         return sign * prev
 
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.determinant()) == 1
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def to_json(self) -> dict:
-        """External schema: entries as decimal strings (arbitrary precision safe)."""
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
@@ -526,9 +504,6 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-ZERO_GROUP = FgAbGroup.zero()
-
-
 def group_from_relations(generators: int, relations) -> FgAbGroup:
     """Canonical form of Z^generators / (row span of the relation matrix).
 
@@ -556,21 +531,6 @@ def group_from_relations(generators: int, relations) -> FgAbGroup:
         )
     diag = _smith_diagonal(rel.entries, generators, [[]] * rel.rows, [[]] * generators)
     return FgAbGroup(generators - len(diag), tuple(d for d in diag if d != 1))
-
-
-def ext1(b: FgAbGroup, a: FgAbGroup) -> FgAbGroup:
-    """Ext^1(b, a), by bilinearity over cyclic summands.
-
-    Base cases: Ext(Z, -) = 0, Ext(Z_m, Z) = Z_m, Ext(Z_m, Z_n) = Z_gcd(m,n).
-
-    >>> print(ext1(FgAbGroup.cyclic(6), FgAbGroup.cyclic(4)))
-    Z_2
-    """
-    parts: list[int] = []
-    for m in b.invariant_factors:
-        parts.extend([m] * a.free_rank)
-        parts.extend(gcd(m, n) for n in a.invariant_factors)
-    return FgAbGroup.from_cyclic_orders(*parts)
 
 
 def integer_kernel(m: IntegerMatrix) -> list[tuple[int, ...]]:
@@ -640,10 +600,6 @@ class Homomorphism:
                         f"image of an order-{d} generator is not killed by {d}"
                     )
 
-    @classmethod
-    def zero(cls, domain: FgAbGroup, codomain: FgAbGroup) -> "Homomorphism":
-        return cls(domain, codomain, IntegerMatrix.zero(codomain.ngens, domain.ngens))
-
 
 def _quotient_of_spans(
     gens: list[tuple[int, ...]], rels: list[tuple[int, ...]], ambient: int
@@ -652,7 +608,7 @@ def _quotient_of_spans(
     all_gens = list(gens) + list(rels)
     s = len(all_gens)
     if s == 0:
-        return ZERO_GROUP
+        return FgAbGroup.zero()
     # columns of g are the generators; w = preimage of the relation lattice
     g_cols = [[vec[i] for vec in all_gens] for i in range(ambient)]
     block = [row + [-r[i] for r in rels] for i, row in enumerate(g_cols)]
@@ -665,9 +621,7 @@ def hom_kernel(f: Homomorphism) -> FgAbGroup:
     """Canonical form of ker(f)."""
     na = f.domain.ngens
     rel_b = _relation_lattice(f.codomain)
-    block = [
-        list(f.matrix.row(i)) + [-r[i] for r in rel_b] for i in range(f.codomain.ngens)
-    ]
+    block = [list(row) + [-r[i] for r in rel_b] for i, row in enumerate(f.matrix.entries)]
     kernel = integer_kernel(IntegerMatrix(block, cols=na + len(rel_b)))
     lattice_gens = [vec[:na] for vec in kernel]
     return _quotient_of_spans(lattice_gens, _relation_lattice(f.domain), na)

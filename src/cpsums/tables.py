@@ -89,27 +89,6 @@ class GeneratorLabel(_LabelFields):
             return f"{self.decoration}({core})"
         return core
 
-    def to_record(self) -> dict:
-        rec = {
-            "symbol": self.symbol,
-            "power": self.power,
-            "copy_index": self.copy_index,
-            "decoration": self.decoration,
-        }
-        if self.relation:
-            rec["relation"] = self.relation
-        return rec
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "GeneratorLabel":
-        return cls(
-            symbol=rec["symbol"],
-            power=int(rec.get("power", 0)),
-            copy_index=int(rec.get("copy_index", 1)),
-            decoration=rec.get("decoration", ""),
-            relation=rec.get("relation"),
-        )
-
 
 @dataclass(frozen=True)
 class TableEntry:
@@ -130,33 +109,6 @@ class TableEntry:
                 f"entry {self.kind}{dict(self.params)}: {len(self.generators)} "
                 f"generators for a group with {self.group.ngens} summands"
             )
-
-    @property
-    def params_dict(self) -> dict:
-        return dict(self.params)
-
-    def to_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params_dict,
-            "group": self.group.to_json(),
-            "generators": [g.to_record() for g in self.generators],
-            "citation": self.citation,
-            "external": self.external,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "TableEntry":
-        return cls(
-            kind=rec["kind"],
-            params=tuple(sorted((k, int(v)) for k, v in rec["params"].items())),
-            group=FgAbGroup.from_json(rec["group"]),
-            generators=tuple(
-                GeneratorLabel.from_record(g) for g in rec.get("generators", [])
-            ),
-            citation=rec.get("citation", ""),
-            external=bool(rec.get("external", False)),
-        )
 
 
 @dataclass(frozen=True)
@@ -262,7 +214,13 @@ def entry(kind: str, **params) -> TableEntry:
     """Generic accessor returning the full annotated entry."""
     rec = _record(kind, **params)
     if "group" in rec:
-        return TableEntry.from_record({"generators": [], **rec})
+        return TableEntry(
+            kind=kind,
+            params=tuple(sorted(rec["params"].items())),
+            group=_group_of(rec),
+            citation=rec["citation"],
+            external=bool(rec.get("external", False)),
+        )
     raise TableError(f"record {kind} {params} is parametric; use its dedicated accessor")
 
 

@@ -193,6 +193,14 @@ class TestClassifyVerb:
         assert code == 3
         assert out.splitlines()[1:] == ["  Z", "  Z + Z_2"]
 
+    def test_free_sub_by_wide_quotient(self, capsys):
+        wide = json.dumps({"rank": 0, "torsion": [2] * 2000})
+        code, out = run(
+            capsys, "classify-extension", "--sub", '{"rank":1,"torsion":[]}', "--quot", wide
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == ["  Z + Z_2^1999", "  Z + Z_2^2000"]
+
 
 class TestReportVerb:
     def test_text_render(self, capsys):

@@ -340,6 +340,15 @@ class TestFreeParts:
 
 
 class TestWorkBound:
+    def test_free_sub_lists_only_reachable_cotypes(self):
+        # the cotype of C in Z_2^2000 has at most one part, so C is
+        # Z_2^1999 or Z_2^2000 and no smaller shape is listed
+        wide = FgAbGroup(0, (2,) * 2000)
+        assert middle_candidates_between(FgAbGroup.free(1), wide) == [
+            FgAbGroup(1, (2,) * 1999),
+            FgAbGroup(1, (2,) * 2000),
+        ]
+
     def test_library_raises_before_testing_shapes(self, monkeypatch):
         calls = []
         monkeypatch.setattr(extensions, "lr_positive", lambda *args: calls.append(args))
@@ -347,7 +356,7 @@ class TestWorkBound:
         with pytest.raises(ExtensionSizeError):
             middle_candidates_between(wide, wide)
         with pytest.raises(ExtensionSizeError):
-            middle_candidates_between(FgAbGroup.free(1), wide)
+            middle_candidates_between(FgAbGroup.free(2000), wide)
         assert calls == []
 
 

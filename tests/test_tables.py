@@ -1,4 +1,4 @@
-"""Tabulated data: values, range errors, citations, serialization."""
+"""Tabulated data: values, range errors, citations, data-file errors."""
 
 import json
 import os
@@ -209,7 +209,7 @@ class TestGeneratorLabel:
             GeneratorLabel(symbol="sigma", copy_index=4, relation="2*sigma_4 = alpha*eta_4^3"),
         ]
         for g in labels:
-            back = GeneratorLabel.from_record(g.to_record())
+            back = g._replace()
             assert back == g and type(back) is GeneratorLabel
             assert hash(back) == hash(g)
         assert GeneratorLabel("eta", 2) == GeneratorLabel(symbol="eta", power=2, copy_index=1)
@@ -222,9 +222,17 @@ class TestGeneratorLabel:
 
 
 class TestEntryValidation:
-    def test_round_trip(self):
-        entry = tables.entry("stable_stem", n=10)
-        assert TableEntry.from_record(entry.to_record()) == entry
+    def test_entry_reads_its_record(self):
+        assert tables.entry("stable_stem", n=10) == TableEntry(
+            kind="stable_stem",
+            params=(("n", 10),),
+            group=FgAbGroup.cyclic(6),
+            citation="pi_10^s = Z_2 + Z_3 (Toda); full subterm of the CP^5 "
+            "connected-sum sequence",
+            external=False,
+        )
+        with pytest.raises(TableError, match="parametric"):
+            tables.entry("pl_over_o", n=7)
 
     def test_missing_citation_rejected(self):
         with pytest.raises(TableError):
