@@ -241,8 +241,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.sequence != "surgery":
-        return _usage_error(f"unknown sequence {args.sequence!r}")
     _check_size(args.k, args.n)
     try:
         rep = surgery.structure_set(args.k, args.n)

@@ -1,15 +1,16 @@
 """Stable cohomotopy pi_s^0 of k-fold connected sums of CP^n, 3 <= n <= 8.
 
-Each n has its own sequence shape (the n = 4 case takes k copies of
-pi_s^0(CP^3) on the quotient side, every other case takes k-1 copies of
-the next space down plus a Hopf kernel; n = 3 and n = 6 degenerate to
-isomorphisms).  The sub term pi_{2n}^s / im((Sigma h)^*) is the one
-quotient type that `outer_candidates_between` finds.  The middle term is
-then pinned down by the splitting filters the case analysis supports: no
-element of order 4 for n = 4, 5, 7, plus the 3-localization value for
-n = 7.  The n = 8 sequence admits
-two middle terms and no filter is available, so the result is reported
-as ambiguous rather than guessed.
+Every n has one cited ``pi_s0_sequence`` record (`tables.pi_s0_sequence`),
+read here by one code path.  Its sub term pi_{2n}^s / im((Sigma h)^*) is
+the one quotient type that `outer_candidates_between` finds (n = 6 lists
+no stem term).  Its quotient is an affine-in-k number of copies of
+tabulated groups: k copies of pi_s^0(CP^3) for n = 4, k-1 copies of
+pi_s^0(CP^(n-1)) plus the Hopf kernel for n >= 5, nothing for n = 3.
+The middle term is then pinned down by the record's splitting filters:
+no element of order 4 for n = 4, 5, 7, plus the 3-localization
+Z_3^(k-1) for n = 7.  The n = 8 record has no filter and its sequence
+admits two middle terms, so the result is reported as ambiguous rather
+than guessed.
 """
 
 from __future__ import annotations
@@ -44,72 +45,39 @@ def _quotient_by_image(stem: FgAbGroup, image: FgAbGroup) -> FgAbGroup:
     return quotients[0]
 
 
-def _sum_of(copies: int, g: FgAbGroup) -> FgAbGroup:
-    return FgAbGroup.from_cyclic_orders(
-        *([0] * (g.free_rank * copies)), *(g.invariant_factors * copies)
-    )
+def _sequence(rec: dict, k: int) -> ShortExactSequence:
+    sub = FgAbGroup.zero()
+    if rec["sub"]:
+        stem, image = rec["sub"]
+        sub = _quotient_by_image(tables.stable_stem(stem), tables.hopf_image_suspension(image))
+    runs = []
+    for kind, m, copies in rec["quot"]:
+        g = tables.entry(kind, n=m).group
+        runs += [[d, copies] for d in (0,) * g.free_rank + g.invariant_factors]
+    return ShortExactSequence(sub, tables.affine_group(runs, k), rec["citation"])
+
+
+def _filter(spec: dict, k: int) -> SplittingFilter:
+    if "localization_at" in spec:
+        target = tables.affine_group(spec["equals"], k)
+        return SplittingFilter.localization_at(spec["localization_at"], target)
+    return SplittingFilter.no_element_of_order(spec["no_element_of_order"])
 
 
 def build_sequence(k: int, n: int) -> ShortExactSequence:
     """The short exact sequence computing pi_s^0 of the k-fold sum of CP^n."""
     _check_range(k, n)
-    if n == 6:
-        # iota^* is an isomorphism onto the skeletal side; no stem term
-        sub = FgAbGroup.zero()
-    else:
-        stem = tables.stable_stem(2 * n)
-        sub = _quotient_by_image(stem, tables.hopf_image_suspension(n))
-    if n == 3:
-        # degree-one map is an isomorphism; the skeletal side vanishes
-        quot = FgAbGroup.zero()
-        shape = "0 -> pi_6^s -> pi_s^0(#_k CP^3) -> 0"
-    elif n == 4:
-        quot = _sum_of(k, tables.pi_s0_single_cp(3))
-        shape = "0 -> pi_8^s/Z_2 -> pi_s^0(#_k CP^4) -> sum_k pi_s^0(CP^3) -> 0"
-    else:
-        quot = _sum_of(k - 1, tables.pi_s0_single_cp(n - 1)).direct_sum(
-            tables.hopf_kernel(n - 1)
-        )
-        shape = (
-            f"0 -> pi_{2 * n}^s/im((Sigma h)^*) -> pi_s^0(#_k CP^{n}) -> "
-            f"sum_(k-1) pi_s^0(CP^{n - 1}) + ker(h^*) -> 0"
-        )
-    return ShortExactSequence(sub=sub, quot=quot, provenance=shape)
-
-
-def _filters_for(k: int, n: int) -> tuple[SplittingFilter, ...]:
-    no4 = SplittingFilter.no_element_of_order(4)
-    if n in (4, 5):
-        return (no4,)
-    if n == 7:
-        loc3 = SplittingFilter.localization_at(
-            3, FgAbGroup.from_cyclic_orders(*([3] * (k - 1)))
-        )
-        return (loc3, no4)
-    return ()
-
-
-_FILTER_CITATIONS = {
-    4: "splits: the group is covered by k copies of pi_s^0(CP^4) = Z_2^2, so it has no element of order 4",
-    5: "splits: the PL-normal-invariant comparison shows the torsion contains no Z_4",
-    7: "splits: 3-localization is Z_3^(k-1), and surjectivity from k copies of Z_2^3 rules out order-4 elements",
-}
+    return _sequence(tables.pi_s0_sequence(n), k)
 
 
 def pi_s0_connected_sum(k: int, n: int) -> Result:
     """pi_s^0(#_k CP^n): the resolved group, or both candidates for n = 8."""
     _check_range(k, n)
-    seq = build_sequence(k, n)
-    filters = _filters_for(k, n)
-    group = resolve(seq, list(filters))
-    citations = [seq.provenance]
-    if n in _FILTER_CITATIONS:
-        citations.append(_FILTER_CITATIONS[n])
-    if n == 8:
-        citations.append(
-            "the n = 8 sequence is not known to split; both middle terms are reported"
-        )
-    return Result(k, n, group, tuple(citations), sequence=seq, filters=filters)
+    rec = tables.pi_s0_sequence(n)
+    seq = _sequence(rec, k)
+    filters = tuple(_filter(spec, k) for spec in rec["filters"])
+    citations = (seq.provenance, *rec["splitting"])
+    return Result(k, n, resolve(seq, filters), citations, sequence=seq, filters=filters)
 
 
 def expected_closed_form(k: int, n: int) -> FgAbGroup:

@@ -92,20 +92,8 @@ _CITATIONS: dict[int, str] = {
 }
 
 
-def _single_copies(s: int, k: int, n: int):
-    """Fujii's KO^{-s}(CP^n), and KO^{-s}(CP^(n-1)) when other copies add to it.
-
-    At k = 1 there are no other copies; at n = 1 they are copies of CP^0, a
-    point, whose reduced groups vanish.  Neither case looks up CP^(n-1).
-    """
-    top = tables.ko_single_cp(s, n)
-    return top, (tables.ko_single_cp(s, n - 1) if k > 1 and n > 1 else None)
-
-
 def _sum_group(top, rest, k: int) -> FgAbGroup:
     """KO^{-s}(CP^n) + (k-1) KO^{-s}(CP^(n-1)): ranks add, invariant factors concatenate."""
-    if rest is None:
-        return top.group
     rank = top.group.free_rank + (k - 1) * rest.group.free_rank
     orders = top.group.invariant_factors + (k - 1) * rest.group.invariant_factors
     return FgAbGroup(rank, FgAbGroup.from_cyclic_orders(*orders).invariant_factors)
@@ -164,19 +152,10 @@ def ko_group(s: int, k: int, n: int) -> Result:
         raise ValueError(f"KO degree s must lie in 0..7, got {s}")
     if k < 2 or n < 2:
         raise ValueError(f"the connected-sum table needs k, n >= 2, got k={k}, n={n}")
-    top, rest = _single_copies(s, k, n)
+    top, rest = tables.ko_single_cp(s, n), tables.ko_single_cp(s, n - 1)
     return Result(
         k, n, _sum_group(top, rest, k), (_CITATIONS[s],), basis=_sum_basis(s, top, rest, k)
     )
-
-
-def ko_group_formula_any_k(s: int, k: int, n: int) -> FgAbGroup:
-    """The connected-sum group without the k >= 2 guard (k = 1 degenerations)."""
-    if not 0 <= s <= 7:
-        raise ValueError(f"KO degree s must lie in 0..7, got {s}")
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be positive")
-    return _sum_group(*_single_copies(s, k, n), k)
 
 
 def verify_sandwich(s: int, k: int, n: int, group: FgAbGroup | None = None) -> SandwichReport:

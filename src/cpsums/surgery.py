@@ -25,7 +25,7 @@ from . import tables
 from .cohomotopy import pi_s0_connected_sum
 from .extensions import AmbiguousResult, outer_candidates_between
 from .fgab import FgAbGroup
-from .ktheory import ko_group_formula_any_k
+from .ktheory import ko_group
 from .tables import Result
 
 
@@ -76,7 +76,7 @@ class StructureSetResult:
 
     @property
     def obstruction_image_order(self) -> int:
-        return 1 if self.obstruction_status == "zero" else 2
+        return _obstruction_image_order(self.n)
 
     @property
     def citations(self) -> tuple[str, ...]:
@@ -104,6 +104,11 @@ class StructureSetResult:
             f"  image of eta: {self.image_of_eta}",
         ]
         return "\n".join(lines)
+
+
+def _obstruction_image_order(n: int) -> int:
+    """|im(theta)|: 1 where the obstruction map vanishes, else |L_{2n}| = 2."""
+    return 1 if _OBSTRUCTION_STATUS[n][0] == "zero" else 2
 
 
 def _resolved_cohomotopy(k: int, n: int) -> tuple[FgAbGroup, tuple[str, ...]]:
@@ -140,13 +145,11 @@ def f_over_o(k: int, n: int) -> Result:
 
 
 def kernel_f_star_rank(k: int, n: int) -> int:
-    """Rank of ker(KO^0(#_k CP^n) -> [#_k CP^n, BSF]).
+    """Rank of ker(KO^0(#_k CP^n) -> [#_k CP^n, BSF]), for k, n >= 2.
 
     The kernel is torsion free and is the whole free part of KO^0.
     """
-    if k < 2 or n < 2:
-        raise ValueError(f"needs k, n >= 2, got k={k}, n={n}")
-    return ko_group_formula_any_k(0, k, n).free_rank
+    return ko_group(0, k, n).free_rank
 
 
 def f_over_pl(k: int, n: int) -> Result:
@@ -200,7 +203,7 @@ def structure_set(k: int, n: int) -> StructureSetResult:
     else:
         # eta is injective and im(eta) = ker(theta), the subgroup of N^t_Diff
         # whose cotype is im(theta): 0, or L_{2n} = Z_2 where theta is nonzero
-        theta = FgAbGroup.cyclic(1 if _OBSTRUCTION_STATUS[n][0] == "zero" else 2)
+        theta = FgAbGroup.cyclic(_obstruction_image_order(n))
         images = outer_candidates_between(normal, theta)
         if len(images) != 1 or n in (6, 7) and images != [pl]:
             raise InexactSequence(

@@ -2,8 +2,10 @@
 
 Every value consumed by the higher modules (stable stems, single-copy
 cohomotopy of CP^n, Hopf-induced kernels and images, Fujii's real
-K-groups of CP^n, Wall groups) lives in a line-delimited JSON data file
-shipped with the package, one record per entry with a citation string.
+K-groups of CP^n, Wall groups, the pi_s^0 sequence of each n) lives in a
+line-delimited JSON data file shipped with the package, one record per
+entry with a citation string.  A multiplicity affine in k is a pair
+[a, b] meaning a*k + b.
 Records without a citation are refused at load time.  Entries sourced
 from reference tables rather than pinned by the connected-sum analysis
 carry ``external: true`` so the test suites can tell them apart.
@@ -265,8 +267,24 @@ def wall_group(i: int) -> FgAbGroup:
 
 
 def _affine(coeffs, m: int) -> int:
+    """a*m + b for a record's multiplicity pair [a, b]."""
+    if not (isinstance(coeffs, list) and len(coeffs) == 2) or any(
+        type(c) is not int for c in coeffs
+    ):
+        raise TableError(f"multiplicity {coeffs!r} is not a pair [a, b] of integers")
     a, b = coeffs
     return a * m + b
+
+
+def affine_group(runs, k: int) -> FgAbGroup:
+    """The sum of a*k + b copies of Z_d over a record's runs [d, [a, b]] (Z_0 = Z)."""
+    orders: list[int] = []
+    for d, coeffs in runs:
+        copies = _affine(coeffs, k)
+        if copies < 0:
+            raise TableError(f"run [{d}, {coeffs}] asks for {copies} copies at k = {k}")
+        orders.extend([int(d)] * copies)
+    return FgAbGroup.from_cyclic_orders(*orders)
 
 
 def _format_relation(template: str, m: int) -> str:
@@ -343,13 +361,27 @@ def pl_over_o_entry(k: int, n: int) -> TableEntry:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     rec = _record("pl_over_o", n=n)
-    orders: list[int] = []
-    for d, coeffs in rec["torsion"]:
-        orders.extend([int(d)] * _affine(coeffs, k))
     return TableEntry(
         kind="pl_over_o",
         params=(("k", k), ("n", n)),
-        group=FgAbGroup.from_cyclic_orders(*orders),
+        group=affine_group(rec["torsion"], k),
         citation=rec["citation"],
         external=rec["external"],
     )
+
+
+def pi_s0_sequence(n: int) -> dict:
+    """The cited record of the sequence computing pi_s^0(#_k CP^n), 3 <= n <= 8.
+
+    ``sub`` is the stem term pi_{d}^s / im((Sigma h)^*) as the degree pair
+    [d, n], null at n = 6; ``quot`` lists [kind, n', [a, b]]: a*k + b copies
+    of a tabulated group; ``filters`` holds ``{"no_element_of_order": d}``
+    or ``{"localization_at": p, "equals": runs}`` in ``affine_group`` runs;
+    ``citation`` names the sequence and ``splitting`` the citations of its
+    splitting argument.
+    """
+    rec = _record("pi_s0_sequence", n=n)
+    missing = [key for key in ("sub", "quot", "filters", "splitting") if key not in rec]
+    if missing:
+        raise TableError(f"record pi_s0_sequence {{'n': {n}}} lacks {', '.join(missing)}")
+    return rec

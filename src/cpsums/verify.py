@@ -45,10 +45,9 @@ class SuiteReport:
         self.failures.append(Failure(prop, citation, detail))
 
 
-def snf_suite(
-    seed: int = DEFAULT_SEED, cases: int = 1000, max_dim: int = 8, max_entry: int = 20
-) -> SuiteReport:
-    """u*m*v = d exactly, u and v unimodular, diagonal divisibility chain."""
+def snf_suite(seed: int = DEFAULT_SEED, cases: int = 1000, max_dim: int = 8) -> SuiteReport:
+    """u*m*v = d exactly, u and v unimodular, diagonal divisibility chain,
+    on random matrices with entries in -20..20."""
     rng = random.Random(seed)
     report = SuiteReport("snf")
     citation = "Smith normal form: u*m*v diagonal with d1 | d2 | ..., u, v unimodular"
@@ -56,7 +55,7 @@ def snf_suite(
         r = rng.randint(0, max_dim)
         c = rng.randint(0, max_dim)
         m = IntegerMatrix(
-            [[rng.randint(-max_entry, max_entry) for _ in range(c)] for _ in range(r)],
+            [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)],
             cols=c,
         )
         report.cases += 1
@@ -159,12 +158,13 @@ def tables_suite() -> SuiteReport:
     return report
 
 
-def sandwich_suite(k_range=(2, 3, 4), n_range=range(4, 12)) -> SuiteReport:
-    """Every connected-sum KO group passes its exactness constraints."""
+def sandwich_suite() -> SuiteReport:
+    """Every connected-sum KO group, s = 0..7, k = 2..4, n = 4..11, passes
+    its exactness constraints."""
     report = SuiteReport("sandwich")
     for s in range(8):
-        for k in k_range:
-            for n in n_range:
+        for k in (2, 3, 4):
+            for n in range(4, 12):
                 report.cases += 1
                 result = ktheory.verify_sandwich(s, k, n)
                 if not result.passed:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cpsums import cli, extensions, tables, verify
+from cpsums import cli, cohomotopy, extensions, tables, verify
 from cpsums.cli import main
 from cpsums.fgab import FgAbGroup
 
@@ -331,6 +332,59 @@ class TestTableFileErrors:
         assert code == 2
         assert "surgery-exactness" not in captured.out
         assert captured.err.startswith("error: ")
+
+
+class TestSequenceRecords:
+    """The pi_s0_sequence records, edited in a copy of the shipped data file."""
+
+    @staticmethod
+    def _edit_n5(tmp_path, monkeypatch, edit):
+        monkeypatch.delenv("FGAB_TABLES", raising=False)
+        lines = Path(tables.data_path()).read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            if rec["kind"] == "pi_s0_sequence" and rec["params"] == {"n": 5}:
+                edit(rec)
+                lines[i] = json.dumps(rec)
+        path = tmp_path / "tables.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setenv("FGAB_TABLES", str(path))
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda rec: rec.pop("quot"), tables.TableError, "lacks quot"),
+            (lambda rec: rec["quot"][0].__setitem__(2, [1.5, -1]), tables.TableError,
+             "multiplicity [1.5, -1] is not a pair [a, b] of integers"),
+            (lambda rec: rec["quot"][0].__setitem__(2, ["1", -1]), tables.TableError,
+             "multiplicity ['1', -1] is not a pair [a, b] of integers"),
+            (lambda rec: rec["quot"][1].__setitem__(2, [0, -1]), tables.TableError,
+             "run [2, [0, -1]] asks for -1 copies at k = 2"),
+            (lambda rec: rec["quot"][1].__setitem__(0, "hopf_kernels"),
+             tables.UntabulatedDegree, "no table entry for hopf_kernels {'n': 4}"),
+        ],
+    )
+    def test_malformed_record_fails_fast(
+        self, capsys, tmp_path, monkeypatch, edit, error, message
+    ):
+        self._edit_n5(tmp_path, monkeypatch, edit)
+        with pytest.raises(error, match=re.escape(message)):
+            cohomotopy.pi_s0_connected_sum(2, 5)
+        code = main(["compute", "--invariant", "pi-s0", "--k", "2", "--n", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+    def test_shifted_multiplicity_fails_verification(self, capsys, tmp_path, monkeypatch):
+        # k copies of pi_s^0(CP^4) in place of k-1: the k = 1 sequence no
+        # longer accounts for the order of pi_s^0(CP^5)
+        self._edit_n5(tmp_path, monkeypatch, lambda rec: rec["quot"][0].__setitem__(2, [1, 0]))
+        code, out = run(capsys, "verify", "--suite", "tables")
+        assert code == 1
+        assert "violated: single-copy-order" in out
+        assert "n=5: sequence forces order 48, table says 12" in out
 
 
 class TestTablesVerb:

@@ -155,3 +155,121 @@ class TestSingleCopyRegression:
     def test_k1_n8_candidates_include_table_value(self):
         res = pi_s0_connected_sum(1, 8)
         assert tables.pi_s0_single_cp(8) in res.group
+
+
+# per n: the sub term, the provenance and, per k, the quotient and each
+# filter's describe(), as strings
+PINNED_SEQUENCES = {
+    3: (
+        "Z_2",
+        "0 -> pi_6^s -> pi_s^0(#_k CP^3) -> 0",
+        {
+            1: ("0", ()),
+            2: ("0", ()),
+            3: ("0", ()),
+            4: ("0", ()),
+            5: ("0", ()),
+            6: ("0", ()),
+            7: ("0", ()),
+            8: ("0", ()),
+            100: ("0", ()),
+            1000: ("0", ()),
+        },
+    ),
+    4: (
+        "Z_2",
+        "0 -> pi_8^s/Z_2 -> pi_s^0(#_k CP^4) -> sum_k pi_s^0(CP^3) -> 0",
+        {
+            1: ("Z_2", ("no element of order 4",)),
+            2: ("Z_2^2", ("no element of order 4",)),
+            3: ("Z_2^3", ("no element of order 4",)),
+            4: ("Z_2^4", ("no element of order 4",)),
+            5: ("Z_2^5", ("no element of order 4",)),
+            6: ("Z_2^6", ("no element of order 4",)),
+            7: ("Z_2^7", ("no element of order 4",)),
+            8: ("Z_2^8", ("no element of order 4",)),
+            100: ("Z_2^100", ("no element of order 4",)),
+            1000: ("Z_2^1000", ("no element of order 4",)),
+        },
+    ),
+    5: (
+        "Z_6",
+        "0 -> pi_10^s/im((Sigma h)^*) -> pi_s^0(#_k CP^5) -> "
+        "sum_(k-1) pi_s^0(CP^4) + ker(h^*) -> 0",
+        {
+            1: ("Z_2", ("no element of order 4",)),
+            2: ("Z_2^3", ("no element of order 4",)),
+            3: ("Z_2^5", ("no element of order 4",)),
+            4: ("Z_2^7", ("no element of order 4",)),
+            5: ("Z_2^9", ("no element of order 4",)),
+            6: ("Z_2^11", ("no element of order 4",)),
+            7: ("Z_2^13", ("no element of order 4",)),
+            8: ("Z_2^15", ("no element of order 4",)),
+            100: ("Z_2^199", ("no element of order 4",)),
+            1000: ("Z_2^1999", ("no element of order 4",)),
+        },
+    ),
+    6: (
+        "0",
+        "0 -> pi_12^s/im((Sigma h)^*) -> pi_s^0(#_k CP^6) -> "
+        "sum_(k-1) pi_s^0(CP^5) + ker(h^*) -> 0",
+        {
+            1: ("Z_6", ()),
+            2: ("Z_2 + Z_6^2", ()),
+            3: ("Z_2^2 + Z_6^3", ()),
+            4: ("Z_2^3 + Z_6^4", ()),
+            5: ("Z_2^4 + Z_6^5", ()),
+            6: ("Z_2^5 + Z_6^6", ()),
+            7: ("Z_2^6 + Z_6^7", ()),
+            8: ("Z_2^7 + Z_6^8", ()),
+            100: ("Z_2^99 + Z_6^100", ()),
+            1000: ("Z_2^999 + Z_6^1000", ()),
+        },
+    ),
+    7: (
+        "Z_2^2",
+        "0 -> pi_14^s/im((Sigma h)^*) -> pi_s^0(#_k CP^7) -> "
+        "sum_(k-1) pi_s^0(CP^6) + ker(h^*) -> 0",
+        {
+            1: ("Z_2", ("localization at 3 equals 0", "no element of order 4")),
+            2: ("Z_2 + Z_6", ("localization at 3 equals Z_3", "no element of order 4")),
+            3: ("Z_2 + Z_6^2", ("localization at 3 equals Z_3^2", "no element of order 4")),
+            4: ("Z_2 + Z_6^3", ("localization at 3 equals Z_3^3", "no element of order 4")),
+            5: ("Z_2 + Z_6^4", ("localization at 3 equals Z_3^4", "no element of order 4")),
+            6: ("Z_2 + Z_6^5", ("localization at 3 equals Z_3^5", "no element of order 4")),
+            7: ("Z_2 + Z_6^6", ("localization at 3 equals Z_3^6", "no element of order 4")),
+            8: ("Z_2 + Z_6^7", ("localization at 3 equals Z_3^7", "no element of order 4")),
+            100: ("Z_2 + Z_6^99", ("localization at 3 equals Z_3^99", "no element of order 4")),
+            1000: ("Z_2 + Z_6^999", ("localization at 3 equals Z_3^999", "no element of order 4")),
+        },
+    ),
+    8: (
+        "Z_2",
+        "0 -> pi_16^s/im((Sigma h)^*) -> pi_s^0(#_k CP^8) -> "
+        "sum_(k-1) pi_s^0(CP^7) + ker(h^*) -> 0",
+        {
+            1: ("Z_2^2", ()),
+            2: ("Z_2^5", ()),
+            3: ("Z_2^8", ()),
+            4: ("Z_2^11", ()),
+            5: ("Z_2^14", ()),
+            6: ("Z_2^17", ()),
+            7: ("Z_2^20", ()),
+            8: ("Z_2^23", ()),
+            100: ("Z_2^299", ()),
+            1000: ("Z_2^2999", ()),
+        },
+    ),
+}
+
+
+class TestPinnedSequences:
+    @pytest.mark.parametrize("n", sorted(PINNED_SEQUENCES))
+    def test_sequence_and_filters(self, n):
+        sub, provenance, by_k = PINNED_SEQUENCES[n]
+        for k, (quot, filters) in by_k.items():
+            res = pi_s0_connected_sum(k, n)
+            assert build_sequence(k, n) == res.sequence
+            seq = res.sequence
+            assert (str(seq.sub), seq.provenance, str(seq.quot)) == (sub, provenance, quot), k
+            assert tuple(f.describe() for f in res.filters) == filters, k

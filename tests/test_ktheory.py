@@ -8,7 +8,6 @@ from cpsums.ktheory import (
     complex_k0,
     complex_k_minus1,
     ko_group,
-    ko_group_formula_any_k,
     verify_sandwich,
 )
 
@@ -98,14 +97,6 @@ class TestKoCaseTable:
             for k in (2, 3):
                 for n in range(2, 12):
                     assert ko_group(s, k, n).group.is_trivial
-
-    def test_k1_degenerations_match_single_copy(self):
-        for s in range(8):
-            for n in range(1, 13):
-                assert (
-                    ko_group_formula_any_k(s, 1, n)
-                    == tables.ko_single_cp(s, n).group
-                ), (s, n)
 
     def test_window_is_exhaustive(self):
         # degrees repeat with period 8; outside 0..7 the library refuses
