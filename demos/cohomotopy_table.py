@@ -29,7 +29,7 @@ print(f"  sequence: {seq.provenance}")
 print(f"  subterm:  {seq.sub}")
 print(f"  quotient: {seq.quot}")
 for f in result.filters:
-    print(f"  filter:   {f.describe()}")
+    print(f"  filter:   {f.description}")
 print(f"  resolved: {result.group}")
 
 print()

@@ -4,6 +4,10 @@ Verbs: `compute` (any invariant), `classify-extension`, `report`,
 `verify` (the consistency suites), `tables` (dump the data file).
 Exit codes: 0 success, 1 verification failure, 2 usage error, bad table
 file or over-large extension, 3 ambiguous result under --require-unique.
+
+The verbs raise a refusal (ValueError, LookupError or OracleBudgetError)
+where they find it; `main` alone turns it into one ``error:`` line on
+stderr and exit 2.  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import sys
 from . import cohomotopy, ktheory, surgery, tables, verify
 from .extensions import (
     AmbiguousResult,
-    EmptyAfterFiltering,
-    ExtensionSizeError,
     OracleBudgetError,
     ShortExactSequence,
     SplittingFilter,
@@ -59,23 +61,16 @@ def _parse_group(text: str) -> FgAbGroup:
     try:
         group = FgAbGroup.from_json(json.loads(text))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(_usage_error(f"bad group JSON {text!r}: {exc}"))
+        raise ValueError(f"bad group JSON {text!r}: {exc}") from exc
     if group.exponent() > MAX_FACTOR:
-        raise SystemExit(
-            _usage_error(f"invariant factor {group.exponent()} exceeds the limit {MAX_FACTOR}")
-        )
+        raise ValueError(f"invariant factor {group.exponent()} exceeds the limit {MAX_FACTOR}")
     return group
-
-
-def _usage_error(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return EXIT_USAGE
 
 
 def _check_size(k: int, n: int):
     """Refuse, before computing anything, a k*n above MAX_K_TIMES_N."""
     if k * n > MAX_K_TIMES_N:
-        raise SystemExit(_usage_error(f"k*n = {k * n} exceeds the limit {MAX_K_TIMES_N}"))
+        raise ValueError(f"k*n = {k * n} exceeds the limit {MAX_K_TIMES_N}")
 
 
 def _ko(args):
@@ -147,8 +142,6 @@ def _cmd_compute(args) -> int:
     except AmbiguousUpstream as exc:
         payload["ambiguous_torsion"] = [g.to_json() for g in exc.candidates]
         payload["citations"] = [str(exc)]
-    except (ValueError, LookupError) as exc:
-        return _usage_error(str(exc))
     else:
         payload.update(_group_payload(result.group), citations=list(result.citations), **extras)
     try:
@@ -156,7 +149,7 @@ def _cmd_compute(args) -> int:
         # is past Python's int-to-str digit limit, so formatting can fail
         text = _dumps(payload) if args.json else _compute_text(payload)
     except ValueError as exc:
-        return _usage_error(f"cannot print the result: {exc}")
+        raise ValueError(f"cannot print the result: {exc}") from exc
     _emit(text)
     if args.require_unique and ("ambiguous" in payload or "ambiguous_torsion" in payload):
         return EXIT_AMBIGUOUS
@@ -201,30 +194,21 @@ def _compute_text(payload: dict) -> str:
 def _cmd_classify(args) -> int:
     sub = _parse_group(args.sub)
     quot = _parse_group(args.quot)
-    filters: list[SplittingFilter] = []
-    try:
-        for order in args.no_order or []:
-            filters.append(SplittingFilter.no_element_of_order(order))
-        for prime, group_text in args.localized or []:
-            p = int(prime)
-            if p > MAX_FACTOR:
-                raise ValueError(f"prime {p} exceeds the limit {MAX_FACTOR}")
-            filters.append(SplittingFilter.localization_at(p, _parse_group(group_text)))
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    filters = [SplittingFilter.no_element_of_order(order) for order in args.no_order or []]
+    for prime, group_text in args.localized or []:
+        p = int(prime)
+        if p > MAX_FACTOR:
+            raise ValueError(f"prime {p} exceeds the limit {MAX_FACTOR}")
+        filters.append(SplittingFilter.localization_at(p, _parse_group(group_text)))
     if args.torsion is not None:
         filters.append(SplittingFilter.torsion_equals(_parse_group(args.torsion)))
     if args.free_rank is not None:
         filters.append(SplittingFilter.free_rank_equals(args.free_rank))
-    seq = ShortExactSequence(sub=sub, quot=quot)
-    try:
-        outcome = resolve(seq, filters)
-    except (EmptyAfterFiltering, ExtensionSizeError) as exc:
-        return _usage_error(str(exc))
+    outcome = resolve(ShortExactSequence(sub=sub, quot=quot), filters)
     payload = {
         "sub": sub.to_json(),
         "quot": quot.to_json(),
-        "filters": [f.describe() for f in filters],
+        "filters": [f.description for f in filters],
     }
     payload.update(_group_payload(outcome))
     if args.json:
@@ -242,10 +226,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_report(args) -> int:
     _check_size(args.k, args.n)
-    try:
-        rep = surgery.structure_set(args.k, args.n)
-    except (ValueError, LookupError) as exc:
-        return _usage_error(str(exc))
+    rep = surgery.structure_set(args.k, args.n)
     if args.json:
         payload = {
             "k": rep.k,
@@ -269,12 +250,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    try:
-        reports = verify.run_suites(
-            names, seed=args.seed, max_order=args.max_order, cases=args.cases
-        )
-    except (ValueError, LookupError, OracleBudgetError) as exc:
-        return _usage_error(str(exc))
+    reports = verify.run_suites(names, seed=args.seed, max_order=args.max_order, cases=args.cases)
     failed = False
     for rep in reports:
         status = "ok" if rep.ok else "FAILED"
@@ -288,14 +264,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    try:
-        records = tables.all_raw_records()
-    except tables.TableError as exc:
-        return _usage_error(str(exc))
+    records = tables.all_raw_records()
     if args.kind:
         records = [r for r in records if r["kind"] == args.kind]
         if not records:
-            return _usage_error(f"no table records of kind {args.kind!r}")
+            raise LookupError(f"no table records of kind {args.kind!r}")
     if args.json:
         for rec in records:
             _emit(json.dumps(rec, ensure_ascii=False, sort_keys=True))
@@ -378,13 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # argparse exits 2 on its own
     try:
         return args.func(args)
-    except SystemExit as exc:  # raised by helpers that already printed a message
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+    except (ValueError, LookupError, OracleBudgetError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

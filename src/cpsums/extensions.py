@@ -23,7 +23,8 @@ them; it never picks silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate, product, zip_longest
 from math import gcd, lcm, prod
@@ -535,55 +536,34 @@ class AmbiguousResult:
 
 @dataclass(frozen=True)
 class SplittingFilter:
-    """Decidable predicate on FgAbGroup used to cut down middle terms."""
+    """Decidable predicate on FgAbGroup used to cut down middle terms.
 
-    kind: str
-    order: int | None = None
-    prime: int | None = None
-    target: FgAbGroup | None = None
-    rank: int | None = None
+    Filters compare and hash by their description, which names the
+    predicate in full."""
+
+    description: str
+    matches: Callable[[FgAbGroup], bool] = field(compare=False, repr=False)
 
     @classmethod
     def no_element_of_order(cls, n: int) -> "SplittingFilter":
         if n < 2:
             raise ValueError("order filter requires n >= 2")
-        return cls(kind="no-element-of-order", order=n)
+        return cls(f"no element of order {n}", lambda g: not g.has_element_of_order(n))
 
     @classmethod
     def localization_at(cls, p: int, equals: FgAbGroup) -> "SplittingFilter":
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        return cls(kind="localization-equals", prime=p, target=equals)
+        return cls(f"localization at {p} equals {equals}", lambda g: g.localized_at(p) == equals)
 
     @classmethod
     def torsion_equals(cls, t: FgAbGroup) -> "SplittingFilter":
-        return cls(kind="torsion-equals", target=t.torsion())
+        t = t.torsion()
+        return cls(f"torsion subgroup equals {t}", lambda g: g.torsion() == t)
 
     @classmethod
     def free_rank_equals(cls, r: int) -> "SplittingFilter":
-        return cls(kind="free-rank-equals", rank=r)
-
-    def matches(self, g: FgAbGroup) -> bool:
-        if self.kind == "no-element-of-order":
-            return not g.has_element_of_order(self.order)
-        if self.kind == "localization-equals":
-            return g.localized_at(self.prime) == self.target
-        if self.kind == "torsion-equals":
-            return g.torsion() == self.target
-        if self.kind == "free-rank-equals":
-            return g.free_rank == self.rank
-        raise ValueError(f"unknown filter kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "no-element-of-order":
-            return f"no element of order {self.order}"
-        if self.kind == "localization-equals":
-            return f"localization at {self.prime} equals {self.target}"
-        if self.kind == "torsion-equals":
-            return f"torsion subgroup equals {self.target}"
-        if self.kind == "free-rank-equals":
-            return f"free rank equals {self.rank}"
-        return self.kind
+        return cls(f"free rank equals {r}", lambda g: g.free_rank == r)
 
 
 @dataclass(frozen=True)

@@ -20,21 +20,6 @@ class DimensionMismatch(ValueError):
     """Matrix shape is incompatible with the requested operation."""
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
@@ -58,6 +43,10 @@ def factorint(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(p: int) -> bool:
+    return p > 1 and factorint(p) == {p: 1}
 
 
 class IntegerMatrix:

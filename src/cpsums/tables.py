@@ -266,11 +266,14 @@ def wall_group(i: int) -> FgAbGroup:
     return _group_of(_record("wall_group", i_mod_4=i % 4))
 
 
+def _shape(value) -> list | None:
+    """The types of a list's items; None for anything but a list."""
+    return [type(v) for v in value] if isinstance(value, list) else None
+
+
 def _affine(coeffs, m: int) -> int:
     """a*m + b for a record's multiplicity pair [a, b]."""
-    if not (isinstance(coeffs, list) and len(coeffs) == 2) or any(
-        type(c) is not int for c in coeffs
-    ):
+    if _shape(coeffs) != [int, int]:
         raise TableError(f"multiplicity {coeffs!r} is not a pair [a, b] of integers")
     a, b = coeffs
     return a * m + b
@@ -278,12 +281,14 @@ def _affine(coeffs, m: int) -> int:
 
 def affine_group(runs, k: int) -> FgAbGroup:
     """The sum of a*k + b copies of Z_d over a record's runs [d, [a, b]] (Z_0 = Z)."""
+    if _shape(runs) is None or any(_shape(run) != [int, list] for run in runs):
+        raise TableError(f"runs {runs!r} are not a list of [d, [a, b]] with integer d")
     orders: list[int] = []
     for d, coeffs in runs:
         copies = _affine(coeffs, k)
         if copies < 0:
             raise TableError(f"run [{d}, {coeffs}] asks for {copies} copies at k = {k}")
-        orders.extend([int(d)] * copies)
+        orders.extend([d] * copies)
     return FgAbGroup.from_cyclic_orders(*orders)
 
 
@@ -370,6 +375,10 @@ def pl_over_o_entry(k: int, n: int) -> TableEntry:
     )
 
 
+# the two filter forms of a pi_s0_sequence record, as the type of each value
+_FILTER_FORMS = ({"no_element_of_order": int}, {"localization_at": int, "equals": list})
+
+
 def pi_s0_sequence(n: int) -> dict:
     """The cited record of the sequence computing pi_s^0(#_k CP^n), 3 <= n <= 8.
 
@@ -378,10 +387,23 @@ def pi_s0_sequence(n: int) -> dict:
     of a tabulated group; ``filters`` holds ``{"no_element_of_order": d}``
     or ``{"localization_at": p, "equals": runs}`` in ``affine_group`` runs;
     ``citation`` names the sequence and ``splitting`` the citations of its
-    splitting argument.
+    splitting argument.  A sub, quotient term or filter of any other shape,
+    a bool among its integers included, raises TableError naming the record.
     """
     rec = _record("pi_s0_sequence", n=n)
+    name = f"record pi_s0_sequence {{'n': {n}}}"
     missing = [key for key in ("sub", "quot", "filters", "splitting") if key not in rec]
     if missing:
-        raise TableError(f"record pi_s0_sequence {{'n': {n}}} lacks {', '.join(missing)}")
+        raise TableError(f"{name} lacks {', '.join(missing)}")
+    if rec["sub"] is not None and _shape(rec["sub"]) != [int, int]:
+        raise TableError(f"{name}: sub {rec['sub']!r} is neither null nor a pair [d, n]")
+    if any(_shape(rec[key]) is None for key in ("quot", "filters", "splitting")):
+        raise TableError(f"{name}: quot, filters and splitting must be lists")
+    for term in rec["quot"]:
+        if _shape(term) != [str, int, list]:
+            raise TableError(f"{name}: quotient term {term!r} is not [kind, n, [a, b]]")
+        _affine(term[2], 0)
+    for spec in rec["filters"]:
+        if not isinstance(spec, dict) or {k: type(v) for k, v in spec.items()} not in _FILTER_FORMS:
+            raise TableError(f"{name}: filter {spec!r} has neither documented form")
     return rec

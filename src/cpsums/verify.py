@@ -174,11 +174,11 @@ def sandwich_suite() -> SuiteReport:
     return report
 
 
-def surgery_suite(k_range=range(2, 7), n_range=range(3, 8)) -> SuiteReport:
-    """Normal-invariant and structure-set consistency."""
+def surgery_suite() -> SuiteReport:
+    """Normal-invariant and structure-set consistency, k = 2..6, n = 3..7."""
     report = SuiteReport("surgery")
-    for k in k_range:
-        for n in n_range:
+    for k in range(2, 7):
+        for n in range(3, 8):
             report.cases += 1
             try:
                 pi = surgery.structure_set(k, n).normal_invariants

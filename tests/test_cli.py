@@ -362,6 +362,18 @@ class TestSequenceRecords:
              "run [2, [0, -1]] asks for -1 copies at k = 2"),
             (lambda rec: rec["quot"][1].__setitem__(0, "hopf_kernels"),
              tables.UntabulatedDegree, "no table entry for hopf_kernels {'n': 4}"),
+            (lambda rec: rec["filters"][0].__setitem__("no_element_of_order", "4"),
+             tables.TableError, "record pi_s0_sequence {'n': 5}: filter "
+             "{'no_element_of_order': '4'} has neither documented form"),
+            (lambda rec: rec["filters"].__setitem__(0, {}), tables.TableError,
+             "record pi_s0_sequence {'n': 5}: filter {} has neither documented form"),
+            (lambda rec: rec["filters"].append({"localization_at": 3, "equals": [3]}),
+             tables.TableError, "runs [3] are not a list of [d, [a, b]] with integer d"),
+            (lambda rec: rec.__setitem__("sub", 10), tables.TableError,
+             "record pi_s0_sequence {'n': 5}: sub 10 is neither null nor a pair [d, n]"),
+            (lambda rec: rec["quot"][1].pop(), tables.TableError,
+             "record pi_s0_sequence {'n': 5}: quotient term ['hopf_kernel', 4] "
+             "is not [kind, n, [a, b]]"),
         ],
     )
     def test_malformed_record_fails_fast(
@@ -460,6 +472,16 @@ class TestUsageErrors:
         assert code == 0
         code, _ = run(capsys, "report", "--sequence", "surgery", "--k", "4", "--n", "4")
         assert code == 2
+
+    def test_programming_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        # only refusals become exit 2: a bug inside a verb keeps its traceback
+        def broken(k, n):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(cohomotopy, "pi_s0_connected_sum", broken)
+        with pytest.raises(TypeError, match="bug"):
+            main(["compute", "--invariant", "pi-s0", "--k", "2", "--n", "4"])
+        assert capsys.readouterr().err == ""
 
 
 # Exact `--json` payloads, one per invariant plus one report, so that any

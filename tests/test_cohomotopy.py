@@ -158,7 +158,7 @@ class TestSingleCopyRegression:
 
 
 # per n: the sub term, the provenance and, per k, the quotient and each
-# filter's describe(), as strings
+# filter's description, as strings
 PINNED_SEQUENCES = {
     3: (
         "Z_2",
@@ -272,4 +272,4 @@ class TestPinnedSequences:
             assert build_sequence(k, n) == res.sequence
             seq = res.sequence
             assert (str(seq.sub), seq.provenance, str(seq.quot)) == (sub, provenance, quot), k
-            assert tuple(f.describe() for f in res.filters) == filters, k
+            assert tuple(f.description for f in res.filters) == filters, k

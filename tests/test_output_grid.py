@@ -10,7 +10,11 @@ of each.  The slices are:
 - ``verify --suite all`` at the default seed;
 - the stdout of each demo;
 - ``classify-extension`` cases, finite ones and ones with free parts
-  (a free sub can meet the torsion of the quotient, as in Z --x2--> Z).
+  (a free sub can meet the torsion of the quotient, as in Z --x2--> Z);
+- ``tables``: the dump in text and ``--json``, one ``--kind`` and an
+  unknown one;
+- refusals: bad or oversized input to each verb, which must end in one
+  ``error:`` line and exit 2.
 
 ``output_grid.json`` holds the digests.  A digest may change only with
 an output change that CHANGES.md declares and explains.  To print the
@@ -82,6 +86,31 @@ _CLASSIFY_FREE = (
 )
 
 
+_TABLES = (
+    ["tables"],
+    ["tables", "--json"],
+    ["tables", "--kind", "wall_group"],
+    ["tables", "--kind", "nope"],
+)
+_REFUSALS = (
+    ["verify", "--max-order", "0"],
+    ["verify", "--max-order", "5000"],
+    ["verify", "--cases", "0"],
+    ["compute", "--invariant", "ko", "--k", "2", "--n", "4"],
+    ["compute", "--invariant", "pi-s0", "--k", "1000001", "--n", "1"],
+    ["report", "--sequence", "surgery", "--k", "1000001", "--n", "1"],
+    ["classify-extension", "--sub", '{"rank":0}', "--quot", _GROUPS["2"]],
+    ["classify-extension", "--sub", _GROUPS["2"], "--quot", _GROUPS["2"],
+     "--localized", "x", _GROUPS["2"]],
+    ["classify-extension", "--sub", _GROUPS["2"], "--quot", _GROUPS["2"],
+     "--localized", "4", _GROUPS["2"]],
+    ["classify-extension", "--sub", _GROUPS["2"], "--quot", _GROUPS["2"],
+     "--torsion", "nope"],
+    ["classify-extension", "--sub", _GROUPS["2"], "--quot", _GROUPS["2"],
+     "--no-order", "2", "--no-order", "4"],
+)
+
+
 def _classify_argv(cases):
     for sub, quot, *filters in cases:
         argv = [
@@ -115,6 +144,8 @@ def slices():
     out["verify/all"] = [["verify", "--suite", "all"]]
     out["classify-extension/finite"] = list(_classify_argv(_CLASSIFY))
     out["classify-extension/free"] = list(_classify_argv(_CLASSIFY_FREE))
+    out["tables"] = [list(argv) for argv in _TABLES]
+    out["refusals"] = [list(argv) for argv in _REFUSALS]
     for path in DEMOS:
         out[f"demo/{path.name}"] = path
     return out
