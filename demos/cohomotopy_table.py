@@ -6,7 +6,7 @@ exact sequence behind each value and the filters that pinned the
 splitting down, then shows the honestly-ambiguous n = 8 column.
 """
 
-from cpsums.cohomotopy import build_sequence, pi_s0_connected_sum
+from cpsums.cohomotopy import pi_s0_connected_sum
 
 K_RANGE = range(1, 7)
 

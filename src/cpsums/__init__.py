@@ -37,7 +37,7 @@ from .extensions import (
     middle_candidates_between,
     resolve,
 )
-from .tables import GeneratorLabel, Result, TableEntry, UntabulatedDegree
+from .tables import GeneratorLabel, Result, UntabulatedDegree
 from .cohomotopy import build_sequence, pi_s0_connected_sum
 from .ktheory import complex_k0, complex_k_minus1, ko_group, verify_sandwich
 from .surgery import (
@@ -66,7 +66,6 @@ __all__ = [
     "ShortExactSequence",
     "SplittingFilter",
     "StructureSetResult",
-    "TableEntry",
     "UntabulatedDegree",
     "brute_force_middle_terms",
     "build_sequence",

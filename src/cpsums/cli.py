@@ -103,8 +103,8 @@ def _f_o(args):
 
 
 def _pl_o(args):
-    entry = tables.pl_over_o_entry(args.k, args.n)
-    return Result(args.k, args.n, entry.group, (entry.citation,)), {"external": entry.external}
+    result = tables.pl_over_o_entry(args.k, args.n)
+    return result, {"external": result.external}
 
 
 def _structure_set(args):

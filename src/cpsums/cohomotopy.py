@@ -52,7 +52,7 @@ def _sequence(rec: dict, k: int) -> ShortExactSequence:
         sub = _quotient_by_image(tables.stable_stem(stem), tables.hopf_image_suspension(image))
     runs = []
     for kind, m, copies in rec["quot"]:
-        g = tables.entry(kind, n=m).group
+        g = tables.entry(kind, n=m)
         runs += [[d, copies] for d in (0,) * g.free_rank + g.invariant_factors]
     return ShortExactSequence(sub, tables.affine_group(runs, k), rec["citation"])
 

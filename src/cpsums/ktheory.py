@@ -127,7 +127,7 @@ def _sum_basis(s: int, top, rest, k: int) -> tuple[GeneratorLabel, ...]:
     The "= 0" suffix is a property of the single-copy relation, which
     `_on_copy` only subscripts, so each single-copy basis is split once.
     """
-    labels = [_on_copy(g, k, "q*") for g in top.generators]
+    labels = [_on_copy(g, k, "q*") for g in top.basis]
     if s == 0:
         # the published KO^0 basis names the order-2 class of the distinguished
         # copy by its decorated label: 2*q*(eta_k^(2m+1)) = 0
@@ -136,7 +136,7 @@ def _sum_basis(s: int, top, rest, k: int) -> tuple[GeneratorLabel, ...]:
             for g in labels
         ]
     top_free, top_torsion = _split_torsion(labels)
-    rest_free, rest_torsion = _split_torsion(rest.generators)
+    rest_free, rest_torsion = _split_torsion(rest.basis)
     basis = top_free
     for i in range(1, k):
         basis.extend(_on_copy(g, i) for g in rest_free)

@@ -263,7 +263,7 @@ def structure_set(k: int, n: int) -> StructureSetResult:
         exotic_count=exotic,
         derivation=derivation,
         normal_citations=cites,
-        pl_citation=pl_entry.citation,
+        pl_citation=pl_entry.citations[0],
         eta_citation=eta_citation,
         note=note,
     )

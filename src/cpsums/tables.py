@@ -6,14 +6,17 @@ K-groups of CP^n, Wall groups, the pi_s^0 sequence of each n) lives in a
 line-delimited JSON data file shipped with the package, one record per
 entry with a citation string.  A multiplicity affine in k is a pair
 [a, b] meaning a*k + b.
-Records without a citation are refused at load time.  Entries sourced
-from reference tables rather than pinned by the connected-sum analysis
-carry ``external: true`` so the test suites can tell them apart.
+Records without a citation, and ``group`` fields that are not a
+canonical ``{"rank": r, "torsion": [d, ...]}``, are refused at load time.
+Entries sourced from reference tables rather than pinned by the
+connected-sum analysis carry ``external: true`` so the test suites can
+tell them apart; a missing flag means false.
 
-``Result`` is the record in which pi_s^0, K, KO, [X, F/O] and [X, F/PL]
-of ``#_k CP^n`` are returned: the group (or its candidates), the
-citations it rests on and, where the computation has them, a basis, the
-short exact sequence and the splitting filters.
+``Result`` is the one record of a cited group: pi_s^0, K, KO, [X, F/O]
+and [X, F/PL] of ``#_k CP^n`` and the KO and PL/O table rows are
+returned in it, with the group (or its candidates), the citations it
+rests on and, where the computation has them, a basis, the short exact
+sequence and the splitting filters.
 
 The environment variable ``FGAB_TABLES`` overrides the data file path.
 """
@@ -93,34 +96,14 @@ class GeneratorLabel(_LabelFields):
 
 
 @dataclass(frozen=True)
-class TableEntry:
-    """One tabulated group with its provenance."""
-
-    kind: str
-    params: tuple[tuple[str, int], ...]
-    group: FgAbGroup
-    generators: tuple[GeneratorLabel, ...] = ()
-    citation: str = ""
-    external: bool = False
-
-    def __post_init__(self):
-        if not self.citation:
-            raise TableError(f"entry {self.kind}{dict(self.params)} lacks a citation")
-        if self.generators and len(self.generators) != self.group.ngens:
-            raise TableError(
-                f"entry {self.kind}{dict(self.params)}: {len(self.generators)} "
-                f"generators for a group with {self.group.ngens} summands"
-            )
-
-
-@dataclass(frozen=True)
 class Result:
-    """A group-valued invariant of #_k CP^n with the citations it rests on.
+    """A cited group of #_k CP^n: an invariant, or a table row.
 
     ``group`` is an ``AmbiguousResult`` when the sequence admits several
     middle terms (pi_s^0 at n = 8).  ``basis``, when given, labels each
     summand of ``group``; ``sequence`` and ``filters`` are the short exact
-    sequence and splitting filters the group was resolved from.
+    sequence and splitting filters the group was resolved from;
+    ``external`` marks a row taken from a reference table (design rule 1).
     ``free_rank`` and ``torsion`` are read off ``group`` and need it to be
     a single group.
     """
@@ -132,6 +115,7 @@ class Result:
     basis: tuple[GeneratorLabel, ...] = ()
     sequence: ShortExactSequence | None = None
     filters: tuple[SplittingFilter, ...] = ()
+    external: bool = False
 
     def __post_init__(self):
         if self.basis and len(self.basis) != self.group.ngens:
@@ -194,6 +178,8 @@ def _load(path: str) -> dict[tuple, dict]:
         if not rec.get("citation"):
             raise TableError(f"{where}: record {rec.get('kind')!r} lacks a citation")
         key = _record_key(rec, where)
+        if "group" in rec:
+            _group(rec["group"], f"{where}: {key[0]}")
         if key in records:
             raise TableError(f"{where}: duplicate record {key}")
         records[key] = rec
@@ -208,22 +194,25 @@ def _record(kind: str, path: str | None = None, /, **params) -> dict:
     return table[key]
 
 
-def _group_of(rec: dict) -> FgAbGroup:
-    return FgAbGroup.from_json(rec["group"])
+def _group(value, name: str) -> FgAbGroup:
+    """A ``{"rank": r, "torsion": [d, ...]}`` group field, refused under ``name``
+    unless canonical with integers that are not bools, as ``_affine`` asks."""
+    ints = _shape(value.get("torsion")) if isinstance(value, dict) else None
+    if ints is not None and {*ints, type(value.get("rank"))} == {int} and len(value) == 2:
+        try:
+            return FgAbGroup(value["rank"], tuple(value["torsion"]))
+        except ValueError:
+            pass
+    raise TableError(f"{name} group {value!r} is not {{'rank': r, 'torsion': [d, ...]}} "
+                     "in canonical form")
 
 
-def entry(kind: str, **params) -> TableEntry:
-    """Generic accessor returning the full annotated entry."""
+def entry(kind: str, **params) -> FgAbGroup:
+    """The group of a tabulated record, checked when its file was loaded."""
     rec = _record(kind, **params)
-    if "group" in rec:
-        return TableEntry(
-            kind=kind,
-            params=tuple(sorted(rec["params"].items())),
-            group=_group_of(rec),
-            citation=rec["citation"],
-            external=bool(rec.get("external", False)),
-        )
-    raise TableError(f"record {kind} {params} is parametric; use its dedicated accessor")
+    if "group" not in rec:
+        raise TableError(f"record {kind} {params} has no group (parametric records have none)")
+    return FgAbGroup.from_json(rec["group"])
 
 
 def all_raw_records() -> list[dict]:
@@ -236,34 +225,34 @@ def all_raw_records() -> list[dict]:
 
 def stable_stem(n: int) -> FgAbGroup:
     """Stable n-stem pi_n^s, for the degrees the computations touch."""
-    return _group_of(_record("stable_stem", n=n))
+    return entry("stable_stem", n=n)
 
 
 def stable_stem_localized(n: int, p: int) -> FgAbGroup:
     """Localized stem value tabulated separately (only the 2-local 13-stem)."""
-    return _group_of(_record("stable_stem_localized", n=n, p=p))
+    return entry("stable_stem_localized", n=n, p=p)
 
 
 def pi_s0_single_cp(n: int) -> FgAbGroup:
     """pi_s^0(CP^n) for 3 <= n <= 8."""
     if not 3 <= n <= 8:
         raise UntabulatedDegree(f"pi_s^0(CP^n) tabulated for 3 <= n <= 8, got {n}")
-    return _group_of(_record("pi_s0_cp", n=n))
+    return entry("pi_s0_cp", n=n)
 
 
 def hopf_kernel(n: int) -> FgAbGroup:
     """ker(h^*: pi_s^0(CP^n) -> pi_{2n+1}^s) for 3 <= n <= 7."""
-    return _group_of(_record("hopf_kernel", n=n))
+    return entry("hopf_kernel", n=n)
 
 
 def hopf_image_suspension(n: int) -> FgAbGroup:
     """im((Sigma h)^*) inside pi_{2n}^s for 3 <= n <= 8."""
-    return _group_of(_record("hopf_image_suspension", n=n))
+    return entry("hopf_image_suspension", n=n)
 
 
 def wall_group(i: int) -> FgAbGroup:
     """Simply-connected Wall group L_i: the 4-periodic table Z, 0, Z_2, 0."""
-    return _group_of(_record("wall_group", i_mod_4=i % 4))
+    return entry("wall_group", i_mod_4=i % 4)
 
 
 def _shape(value) -> list | None:
@@ -308,8 +297,8 @@ def _format_relation(template: str, m: int) -> str:
 _KO_MEMO_MAX_N = 1024
 
 
-def ko_single_cp(s: int, n: int) -> TableEntry:
-    """Fujii's KO^{-s}(CP^n) with generator labels, closed form in n mod 4.
+def ko_single_cp(s: int, n: int) -> Result:
+    """Fujii's KO^{-s}(CP^n) with its basis labels, closed form in n mod 4.
 
     Entries with n <= 1024 are memoised in an LRU cache of 512 entries
     keyed on ``(data_path(), s, n)``, so setting ``FGAB_TABLES`` switches
@@ -327,52 +316,49 @@ def ko_single_cp(s: int, n: int) -> TableEntry:
     return build(data_path(), s, n)
 
 
+# the two forms of a ko_cp_case generator, as the type of each value; either
+# may also carry a string "relation"
+_GENERATOR_FORMS = ({"symbol": str}, {"symbol": str, "j_from": list, "j_to": list})
+
+
+def _labels(gen, m: int) -> list[GeneratorLabel]:
+    """The labels of one ko_cp_case generator: one, or one per power j_from..j_to."""
+    form = {key: type(value) for key, value in gen.items()} if isinstance(gen, dict) else None
+    if form is None or form.pop("relation", str) is not str or form not in _GENERATOR_FORMS:
+        raise TableError(f"generator {gen!r} has neither documented form")
+    relation = _format_relation(gen["relation"], m) if gen.get("relation") else None
+    powers = [0]
+    if "j_from" in gen:
+        powers = range(_affine(gen["j_from"], m), _affine(gen["j_to"], m) + 1)
+    return [GeneratorLabel(gen["symbol"], j, relation=relation) for j in powers]
+
+
 @lru_cache(maxsize=512)
-def _ko_single_cp(path: str, s: int, n: int) -> TableEntry:
+def _ko_single_cp(path: str, s: int, n: int) -> Result:
     m, q = divmod(n, 4)
     rec = _record("ko_cp_case", path, s=s, q=q)
-    rank = _affine(rec["rank"], m)
-    torsion = tuple(int(d) for d in rec["torsion"])
-    group = FgAbGroup(rank, torsion)
-    labels: list[GeneratorLabel] = []
-    for gen in rec["generators"]:
-        relation = gen.get("relation")
-        relation = _format_relation(relation, m) if relation else None
-        if "j_from" not in gen:
-            labels.append(
-                GeneratorLabel(symbol=gen["symbol"], copy_index=1, relation=relation)
-            )
-            continue
-        lo = _affine(gen["j_from"], m)
-        hi = _affine(gen["j_to"], m)
-        for j in range(lo, hi + 1):
-            labels.append(
-                GeneratorLabel(
-                    symbol=gen["symbol"], power=j, copy_index=1, relation=relation
-                )
-            )
-    return TableEntry(
-        kind="ko_cp",
-        params=(("n", n), ("s", s)),
-        group=group,
-        generators=tuple(labels),
-        citation=rec["citation"],
-        external=rec["external"],
-    )
+    try:
+        if _shape(rec.get("generators")) is None:
+            raise TableError(f"generators {rec.get('generators')!r} are not a list")
+        labels = tuple(label for gen in rec["generators"] for label in _labels(gen, m))
+        group = _group({"rank": _affine(rec.get("rank"), m), "torsion": rec.get("torsion")}, "KO")
+        return Result(1, n, group, (rec["citation"],), basis=labels,
+                      external=rec.get("external", False))
+    except ValueError as exc:
+        # the record's refusals, the basis count of Result's included
+        raise TableError(f"record ko_cp_case {{'s': {s}, 'q': {q}}}: {exc}") from None
 
 
-def pl_over_o_entry(k: int, n: int) -> TableEntry:
+def pl_over_o_entry(k: int, n: int) -> Result:
     """[#_k CP^n, PL/O] for tabulated n, parametric in k."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     rec = _record("pl_over_o", n=n)
-    return TableEntry(
-        kind="pl_over_o",
-        params=(("k", k), ("n", n)),
-        group=affine_group(rec["torsion"], k),
-        citation=rec["citation"],
-        external=rec["external"],
-    )
+    try:
+        group = affine_group(rec.get("torsion"), k)
+    except TableError as exc:
+        raise TableError(f"record pl_over_o {{'n': {n}}}: {exc}") from None
+    return Result(k, n, group, (rec["citation"],), external=rec.get("external", False))
 
 
 # the two filter forms of a pi_s0_sequence record, as the type of each value

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -235,12 +236,7 @@ class TestVerifyVerb:
             entry = real(k, n)
             if n != 7:
                 return entry
-            return tables.TableEntry(
-                kind=entry.kind,
-                params=entry.params,
-                group=entry.group.direct_sum(FgAbGroup.cyclic(5)),
-                citation=entry.citation,
-            )
+            return replace(entry, group=entry.group.direct_sum(FgAbGroup.cyclic(5)))
 
         monkeypatch.setattr(tables, "pl_over_o_entry", wrong_entry)
         code, out = run(capsys, "verify", "--suite", "surgery")
@@ -334,21 +330,29 @@ class TestTableFileErrors:
         assert captured.err.startswith("error: ")
 
 
+def _edit_record(tmp_path, monkeypatch, kind, params, edit):
+    """Point FGAB_TABLES at a copy of the shipped data file in which `edit`
+    changed the record (kind, params); return its "path:line"."""
+    monkeypatch.delenv("FGAB_TABLES", raising=False)
+    lines = Path(tables.data_path()).read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "tables.jsonl"
+    for i, line in enumerate(lines):
+        rec = json.loads(line)
+        if rec["kind"] == kind and rec["params"] == params:
+            edit(rec)
+            lines[i] = json.dumps(rec)
+            where = f"{path}:{i + 1}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setenv("FGAB_TABLES", str(path))
+    return where
+
+
 class TestSequenceRecords:
     """The pi_s0_sequence records, edited in a copy of the shipped data file."""
 
     @staticmethod
     def _edit_n5(tmp_path, monkeypatch, edit):
-        monkeypatch.delenv("FGAB_TABLES", raising=False)
-        lines = Path(tables.data_path()).read_text(encoding="utf-8").splitlines()
-        for i, line in enumerate(lines):
-            rec = json.loads(line)
-            if rec["kind"] == "pi_s0_sequence" and rec["params"] == {"n": 5}:
-                edit(rec)
-                lines[i] = json.dumps(rec)
-        path = tmp_path / "tables.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        monkeypatch.setenv("FGAB_TABLES", str(path))
+        _edit_record(tmp_path, monkeypatch, "pi_s0_sequence", {"n": 5}, edit)
 
     @pytest.mark.parametrize(
         "edit, error, message",
@@ -397,6 +401,52 @@ class TestSequenceRecords:
         assert code == 1
         assert "violated: single-copy-order" in out
         assert "n=5: sequence forces order 48, table says 12" in out
+
+
+class TestRecordFields:
+    """The group of a tabulated record, and the fields a KO or PL/O row is
+    built from, edited in a copy of the shipped data file: a malformed one
+    ends in one error: line that names the record, never a traceback."""
+
+    PI_S0 = ["compute", "--invariant", "pi-s0", "--k", "2", "--n", "5"]
+    KO = ["compute", "--invariant", "ko", "--s", "0", "--k", "2", "--n", "5"]
+    KO_CASE = "record ko_cp_case {'s': 0, 'q': 1}: "
+
+    @pytest.mark.parametrize(
+        "kind, params, edit, argv, message",
+        [
+            ("stable_stem", {"n": 10}, lambda rec: rec.__setitem__("group", [2]), PI_S0,
+             "{where}: stable_stem group [2] is not {'rank': r, 'torsion': [d, ...]}"),
+            ("wall_group", {"i_mod_4": 2}, lambda rec: rec.__setitem__("group", "Z_2"),
+             ["tables"], "{where}: wall_group group 'Z_2' is not"),
+            ("stable_stem", {"n": 10}, lambda rec: rec.pop("group"), PI_S0,
+             "record stable_stem {'n': 10} has no group"),
+            ("ko_cp_case", {"s": 0, "q": 1}, lambda rec: rec["generators"].__setitem__(0, 3),
+             KO, KO_CASE + "generator 3 has neither documented form"),
+            ("ko_cp_case", {"s": 0, "q": 1}, lambda rec: rec.__setitem__("torsion", ["x"]),
+             KO, KO_CASE + "KO group {'rank': 2, 'torsion': ['x']} is not"),
+            ("ko_cp_case", {"s": 0, "q": 1}, lambda rec: rec["generators"].pop(),
+             KO, KO_CASE + "basis lists 2 classes for a group with 3 summands"),
+            ("pl_over_o", {"n": 5}, lambda rec: rec.pop("torsion"),
+             ["compute", "--invariant", "pl-o", "--k", "2", "--n", "5"],
+             "record pl_over_o {'n': 5}: runs None are not a list"),
+        ],
+    )
+    def test_malformed_field_names_its_record(
+        self, capsys, tmp_path, monkeypatch, kind, params, edit, argv, message
+    ):
+        where = _edit_record(tmp_path, monkeypatch, kind, params, edit)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message.replace("{where}", where) in captured.err
+
+    def test_missing_external_flag_means_false(self, capsys, tmp_path, monkeypatch):
+        _edit_record(tmp_path, monkeypatch, "pl_over_o", {"n": 3}, lambda rec: rec.pop("external"))
+        code, out = run(capsys, "compute", "--invariant", "pl-o", "--k", "2", "--n", "3", "--json")
+        assert code == 0 and json.loads(out)["external"] is False
 
 
 class TestTablesVerb:

@@ -8,12 +8,16 @@ import cpsums
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def library_and_demos():
+    """The library modules but ``__init__``, which only re-exports, and the demos."""
+    library = [p for p in (ROOT / "src" / "cpsums").glob("*.py") if p.name != "__init__.py"]
+    return [*library, *(ROOT / "demos").glob("*.py")]
+
+
 def consumer_files():
     """The library modules, the demos and the benchmark harness, without tests."""
-    library = [p for p in (ROOT / "src" / "cpsums").glob("*.py") if p.name != "__init__.py"]
-    demos = (ROOT / "demos").glob("*.py")
     bench = [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
-    return [*library, *demos, *bench]
+    return [*library_and_demos(), *bench]
 
 
 def names_read(path):
@@ -38,3 +42,22 @@ def test_every_exported_name_has_a_consumer():
     assert len(files) > 10
     read = set().union(*map(names_read, files))
     assert sorted(set(cpsums.__all__) - read) == []
+
+
+def unused_imports(path):
+    """Names the file imports but never reads; ``__future__`` imports aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_read():
+    files = library_and_demos()
+    assert len(files) > 10
+    unused = {path.name: sorted(unused_imports(path)) for path in files}
+    assert {name: names for name, names in unused.items() if names} == {}

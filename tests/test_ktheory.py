@@ -366,7 +366,7 @@ class TestKoBasisCost:
                     for copy in range(1, k + 1):
                         entry = tables.ko_single_cp(s, n if copy == k else n - 1)
                         want = [
-                            (g.symbol, g.power) for g in entry.generators
+                            (g.symbol, g.power) for g in entry.basis
                             if _is_torsion(g) == torsion
                         ]
                         got = [

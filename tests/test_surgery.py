@@ -1,5 +1,7 @@
 """Normal invariants, structure sets, and exotic counts."""
 
+from dataclasses import replace
+
 import pytest
 
 from cpsums import cohomotopy, surgery, tables, verify
@@ -175,12 +177,7 @@ class TestStructureSet:
 
         def wrong_entry(k, n):
             entry = real(k, n)
-            return tables.TableEntry(
-                kind=entry.kind,
-                params=entry.params,
-                group=entry.group.direct_sum(Z2),
-                citation=entry.citation,
-            )
+            return replace(entry, group=entry.group.direct_sum(Z2))
 
         monkeypatch.setattr(tables, "pl_over_o_entry", wrong_entry)
         with pytest.raises(
@@ -195,12 +192,7 @@ class TestStructureSet:
 
         def wrong_entry(k, n):
             entry = real(k, n)
-            return tables.TableEntry(
-                kind=entry.kind,
-                params=entry.params,
-                group=entry.group.direct_sum(FgAbGroup.cyclic(5)),
-                citation=entry.citation,
-            )
+            return replace(entry, group=entry.group.direct_sum(FgAbGroup.cyclic(5)))
 
         monkeypatch.setattr(tables, "pl_over_o_entry", wrong_entry)
         with pytest.raises(ValueError, match=r"= Z_2\^2 \+ Z_30; it is \{Z_2\^2 \+ Z_6\}"):
@@ -215,12 +207,7 @@ class TestStructureSet:
             entry = real(k, n)
             if n != 7:
                 return entry
-            return tables.TableEntry(
-                kind=entry.kind,
-                params=entry.params,
-                group=pi_s0_connected_sum(k, n).group,
-                citation=entry.citation,
-            )
+            return replace(entry, group=pi_s0_connected_sum(k, n).group)
 
         monkeypatch.setattr(tables, "pl_over_o_entry", index_one_entry)
         with pytest.raises(ValueError, match=r"= Z_2\^3 \+ Z_6; it is \{Z_2\^2 \+ Z_6\}"):

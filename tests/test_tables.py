@@ -10,7 +10,7 @@ from cpsums import tables
 from cpsums.fgab import FgAbGroup
 from cpsums.tables import (
     GeneratorLabel,
-    TableEntry,
+    Result,
     TableError,
     UntabulatedDegree,
     ko_single_cp,
@@ -121,18 +121,18 @@ class TestKoSingleCp:
 
     def test_generator_labels(self):
         e = ko_single_cp(0, 5)
-        assert [str(g) for g in e.generators] == ["eta_1^1", "eta_1^2", "eta_1^3"]
-        assert e.generators[-1].relation == "2*eta^3 = 0"
+        assert [str(g) for g in e.basis] == ["eta_1^1", "eta_1^2", "eta_1^3"]
+        assert e.basis[-1].relation == "2*eta^3 = 0"
         e = ko_single_cp(2, 3)
-        assert [str(g) for g in e.generators] == ["alpha*eta_1^0", "sigma_1"]
-        assert e.generators[-1].relation == "2*sigma = alpha*eta^1"
+        assert [str(g) for g in e.basis] == ["alpha*eta_1^0", "sigma_1"]
+        assert e.basis[-1].relation == "2*sigma = alpha*eta^1"
 
     def test_generator_count_matches_group(self):
         for s in range(8):
             for n in range(1, 13):
                 entry = ko_single_cp(s, n)
-                if entry.generators:
-                    assert len(entry.generators) == entry.group.ngens
+                if entry.basis:
+                    assert len(entry.basis) == entry.group.ngens
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -223,32 +223,14 @@ class TestGeneratorLabel:
 
 class TestEntryValidation:
     def test_entry_reads_its_record(self):
-        assert tables.entry("stable_stem", n=10) == TableEntry(
-            kind="stable_stem",
-            params=(("n", 10),),
-            group=FgAbGroup.cyclic(6),
-            citation="pi_10^s = Z_2 + Z_3 (Toda); full subterm of the CP^5 "
-            "connected-sum sequence",
-            external=False,
-        )
-        with pytest.raises(TableError, match="parametric"):
+        assert tables.entry("stable_stem", n=10) == FgAbGroup.cyclic(6)
+        with pytest.raises(TableError, match=r"pl_over_o \{'n': 7\} has no group \(parametric"):
             tables.entry("pl_over_o", n=7)
 
-    def test_missing_citation_rejected(self):
-        with pytest.raises(TableError):
-            TableEntry(
-                kind="x", params=(("n", 1),), group=Z2, citation="", external=False
-            )
-
     def test_generator_count_enforced(self):
-        with pytest.raises(TableError):
-            TableEntry(
-                kind="x",
-                params=(("n", 1),),
-                group=Z2,
-                generators=(GeneratorLabel("eta", 1), GeneratorLabel("eta", 2)),
-                citation="two labels on one summand",
-            )
+        labels = (GeneratorLabel("eta", 1), GeneratorLabel("eta", 2))
+        with pytest.raises(ValueError, match="basis lists 2 classes for a group with 1 summands"):
+            Result(1, 1, Z2, ("two labels on one summand",), basis=labels)
 
 
 class TestDataFileOverride:
@@ -285,7 +267,7 @@ class TestDataFileOverride:
         monkeypatch.delenv(tables.DATA_ENV, raising=False)
         shipped = ko_single_cp(0, 5)
         assert shipped.group == FgAbGroup(2, (2,))
-        assert shipped.citation.startswith("Fujii: KO^0(CP^(4m+1))")
+        assert shipped.citations[0].startswith("Fujii: KO^0(CP^(4m+1))")
         assert ko_single_cp(0, 5) is shipped  # a second call reads the cache
         path = tmp_path / "tables.jsonl"
         path.write_text(
@@ -310,19 +292,19 @@ class TestDataFileOverride:
         monkeypatch.setenv(tables.DATA_ENV, str(path))
         fixture = ko_single_cp(0, 5)
         assert fixture.group == FgAbGroup(2, (4,))
-        assert fixture.citation == "deliberately wrong fixture"
-        assert fixture.generators[-1].relation == "4*eta^3 = 0"
+        assert fixture.citations == ("deliberately wrong fixture",)
+        assert fixture.basis[-1].relation == "4*eta^3 = 0"
         assert not fixture.external
         monkeypatch.delenv(tables.DATA_ENV)
         assert ko_single_cp(0, 5) == shipped
-        assert ko_single_cp(0, 5).citation == shipped.citation
+        assert ko_single_cp(0, 5).citations == shipped.citations
 
     def test_large_ko_entries_are_not_kept(self, monkeypatch):
         monkeypatch.delenv(tables.DATA_ENV, raising=False)
         assert ko_single_cp(0, 1024) is ko_single_cp(0, 1024)
         big = ko_single_cp(0, 1025)
         assert big is not ko_single_cp(0, 1025)
-        assert big == ko_single_cp(0, 1025) and len(big.generators) == 513
+        assert big == ko_single_cp(0, 1025) and len(big.basis) == 513
 
     def test_citationless_file_refused(self, tmp_path, monkeypatch):
         path = tmp_path / "bad.jsonl"
@@ -355,6 +337,14 @@ class TestDataFileOverride:
              "not an integer"),
             ('{"kind": "stable_stem", "params": {"n": 6.5}, "citation": "c"}',
              "not an integer"),
+            ('{"kind": "stable_stem", "params": {"n": 6}, "group": [2], "citation": "c"}',
+             r"stable_stem group \[2\] is not"),
+            ('{"kind": "stable_stem", "params": {"n": 6}, "group": "Z_2", "citation": "c"}',
+             "stable_stem group 'Z_2' is not"),
+            ('{"kind": "stable_stem", "params": {"n": 6}, "group": {"rank": true, "torsion": []},'
+             ' "citation": "c"}', "'rank': True, 'torsion': .* in canonical form"),
+            ('{"kind": "stable_stem", "params": {"n": 6}, "group": {"rank": 0, "torsion": [3, 2]},'
+             ' "citation": "c"}', "'torsion': \\[3, 2\\]} is not .* in canonical form"),
         ],
     )
     def test_malformed_record_refused(self, tmp_path, monkeypatch, line, message):
