@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import extensions, tables
-from .extensions import ShortExactSequence, SplittingFilter, resolve
+from .extensions import InexactSequence, ShortExactSequence, SplittingFilter, resolve
 from .fgab import FgAbGroup
 from .tables import Result
 
@@ -38,7 +38,7 @@ def _quotient_by_image(stem: FgAbGroup, image: FgAbGroup) -> FgAbGroup:
     allows; several types, or none, raise rather than pick (rule 2)."""
     quotients = extensions.outer_candidates_between(stem, image)
     if len(quotients) != 1:
-        raise ValueError(
+        raise InexactSequence(
             f"({stem}) / ({image}): {len(quotients)} quotient types fit, not one: "
             "{" + ", ".join(map(str, quotients)) + "}"
         )

@@ -44,6 +44,11 @@ class EmptyAfterFiltering(ValueError):
     """All middle-term candidates were rejected; the filters are inconsistent."""
 
 
+class InexactSequence(ValueError):
+    """The data contradict an exact sequence: no term, or several, fit where
+    exactness allows exactly one (a stem quotient, im(eta), a PL/O row)."""
+
+
 ORACLE_ORDER_LIMIT = 2**12
 # work units for one subgroup census: coset elements walked plus
 # translation-row entries built

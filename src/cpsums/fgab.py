@@ -479,7 +479,16 @@ class FgAbGroup:
 
     @classmethod
     def from_json(cls, record: dict) -> "FgAbGroup":
-        return cls(int(record["rank"]), tuple(int(d) for d in record["torsion"]))
+        """The group of ``{"rank": r, "torsion": [d, ...]}`` in canonical form.
+
+        Strict: no other key, and integers only, bools refused; a missing
+        key raises KeyError, any other misfit ValueError or TypeError.
+        """
+        rank, torsion = record["rank"], record["torsion"]
+        types = {type(rank), *map(type, torsion)} if type(torsion) is list else None
+        if len(record) != 2 or types != {int}:
+            raise ValueError("expected {'rank': r, 'torsion': [d, ...]} in integers only")
+        return cls(rank, tuple(torsion))
 
     def __str__(self) -> str:
         parts = []

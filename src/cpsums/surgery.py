@@ -10,11 +10,16 @@ the structure sets and the exotic-manifold counts.
 
 `structure_set` returns that sequence as one `StructureSetResult`, which
 both `compute --invariant structure-set` and `report --sequence surgery`
-print.  Where the obstruction map theta is a homomorphism (n = 3, 4, 6, 7),
-im(eta) = ker(theta) is derived: it is the one subgroup type of N^t_Diff
-with cotype im(theta) that `outer_candidates_between` finds.  At n = 6, 7
-the PL/O row must be isomorphic to it.  At n = 5, where theta is only
-known to be nonzero, the image is stored.
+print.  Whatever depends on n alone comes from one per-n table,
+`_SEQUENCE`: the status of the obstruction map theta and its citation,
+the citation of im(eta) and the derivation of the exotic count; the
+record stores only what depends on k.  Where theta is a homomorphism
+(n = 3, 4, 6, 7), im(eta) = ker(theta) is derived: it is the one
+subgroup type of N^t_Diff with cotype im(theta) that
+`outer_candidates_between` finds.  At n = 6, 7 the PL/O row must be
+isomorphic to it.  The exotic count is then derived too: |im(eta)| / 2
+at n = 4, 0 at n = 3, 6, 7.  At n = 5, where theta is only known to be
+nonzero, the image Z_2^(2k-1) and the count 2^(k-2) are stored.
 """
 
 from __future__ import annotations
@@ -23,14 +28,10 @@ from dataclasses import dataclass
 
 from . import tables
 from .cohomotopy import pi_s0_connected_sum
-from .extensions import AmbiguousResult, outer_candidates_between
+from .extensions import AmbiguousResult, InexactSequence, outer_candidates_between
 from .fgab import FgAbGroup
 from .ktheory import ko_group
 from .tables import Result
-
-
-class InexactSequence(ValueError):
-    """The data contradict the surgery sequence (im(eta), PL/O, the count)."""
 
 
 class AmbiguousUpstream(ValueError):
@@ -44,7 +45,11 @@ class AmbiguousUpstream(ValueError):
 @dataclass(frozen=True)
 class StructureSetResult:
     """L_{2n+1} -> S^t_Diff -> N^t_Diff -> L_{2n} for #_k CP^n with its
-    groups filled in, and the exotic count it yields."""
+    groups filled in, and the exotic count it yields.
+
+    The fields hold what depends on k; the citations of theta and eta and
+    the derivation of the count are read from the per-n table.
+    """
 
     k: int
     n: int
@@ -52,11 +57,26 @@ class StructureSetResult:
     pl_group: FgAbGroup  # [X, PL/O], the carrier of S^t_PL
     image_of_eta: FgAbGroup  # carrier of S^t_Diff via the injective eta
     exotic_count: int | None  # tangentially equivalent, non-homeomorphic manifolds
-    derivation: str
     normal_citations: tuple[str, ...]  # of pi_s^0(X)
     pl_citation: str
-    eta_citation: str
-    note: str = ""
+
+    @property
+    def _row(self) -> dict:
+        """The table row of n; its k = 1 row at n = 5, where no count is asserted."""
+        row = _SEQUENCE[self.n]
+        return row["k1"] if self.exotic_count is None else row
+
+    @property
+    def derivation(self) -> str:
+        return self._row["derivation"]
+
+    @property
+    def note(self) -> str:
+        return self._row.get("note", "")
+
+    @property
+    def eta_citation(self) -> str:
+        return _SEQUENCE[self.n]["eta_citation"]
 
     @property
     def odd_wall(self) -> FgAbGroup:  # L_{2n+1}
@@ -72,11 +92,12 @@ class StructureSetResult:
 
     @property
     def obstruction_status(self) -> str:  # "zero" | "nonzero" | "nonzero-homomorphism"
-        return _OBSTRUCTION_STATUS[self.n][0]
+        return _SEQUENCE[self.n]["status"]
 
     @property
     def obstruction_image_order(self) -> int:
-        return _obstruction_image_order(self.n)
+        """|im(theta)|: 1 where the obstruction map vanishes, else |L_{2n}| = 2."""
+        return 1 if self.obstruction_status == "zero" else 2
 
     @property
     def citations(self) -> tuple[str, ...]:
@@ -87,7 +108,7 @@ class StructureSetResult:
     def sequence_citations(self) -> tuple[str, ...]:
         """Sources of the sequence: pi_s^0, the obstruction map, eta injective."""
         return self.normal_citations + (
-            _OBSTRUCTION_STATUS[self.n][1],
+            _SEQUENCE[self.n]["status_citation"],
             "the odd Wall group vanishes, so eta is injective",
         )
 
@@ -104,11 +125,6 @@ class StructureSetResult:
             f"  image of eta: {self.image_of_eta}",
         ]
         return "\n".join(lines)
-
-
-def _obstruction_image_order(n: int) -> int:
-    """|im(theta)|: 1 where the obstruction map vanishes, else |L_{2n}| = 2."""
-    return 1 if _OBSTRUCTION_STATUS[n][0] == "zero" else 2
 
 
 def _resolved_cohomotopy(k: int, n: int) -> tuple[FgAbGroup, tuple[str, ...]]:
@@ -132,16 +148,9 @@ def f_over_o(k: int, n: int) -> Result:
         raise ValueError(f"needs k >= 1 and 3 <= n <= 8, got k={k}, n={n}")
     torsion, cites = _resolved_cohomotopy(k, n)
     rank = k * (n // 2) if n % 2 else k * ((n - 1) // 2) + 1
-    return Result(
-        k,
-        n,
-        torsion.direct_sum(FgAbGroup.free(rank)),
-        cites
-        + (
-            "[X, F/O] = pi_s^0(X) + Z^(k*floor(n/2)) for n odd, "
-            "pi_s^0(X) + Z^(k*floor((n-1)/2)+1) for n even",
-        ),
-    )
+    citation = ("[X, F/O] = pi_s^0(X) + Z^(k*floor(n/2)) for n odd, "
+                "pi_s^0(X) + Z^(k*floor((n-1)/2)+1) for n even")
+    return Result(k, n, torsion.direct_sum(FgAbGroup.free(rank)), cites + (citation,))
 
 
 def kernel_f_star_rank(k: int, n: int) -> int:
@@ -168,15 +177,9 @@ def f_over_pl(k: int, n: int) -> Result:
     else:
         rank = k * (n // 2)
         two_torsion = k * (n // 2 - 1) + 1
-    return Result(
-        k,
-        n,
-        FgAbGroup(rank, (2,) * two_torsion),
-        (
-            "[X, F/PL] = prod of L_{2j} over the even cells of X: "
-            "Z per 4j-cell, Z_2 per (4j+2)-cell",
-        ),
-    )
+    citation = ("[X, F/PL] = prod of L_{2j} over the even cells of X: "
+                "Z per 4j-cell, Z_2 per (4j+2)-cell")
+    return Result(k, n, FgAbGroup(rank, (2,) * two_torsion), (citation,))
 
 
 def pl_over_o(k: int, n: int) -> FgAbGroup:
@@ -189,21 +192,21 @@ def structure_set(k: int, n: int) -> StructureSetResult:
 
     eta: S^t_Diff -> N^t_Diff is injective (odd Wall group vanishes), so
     the smooth set is carried by its image inside pi_s^0.  Exotic counts:
-    0 for n = 3, 6, 7; 2^k for n = 4 (half the smooth set); 2^(k-2) for
-    n = 5 and k >= 2 (out of domain at k = 1).
+    0 for n = 3, 6, 7; |im(eta)| / 2 = 2^k for n = 4 (half the smooth
+    set); 2^(k-2) for n = 5 and k >= 2 (out of domain at k = 1).
     """
     if k < 1 or not 3 <= n <= 7:
         raise ValueError(f"needs k >= 1 and 3 <= n <= 7, got k={k}, n={n}")
     normal, cites = _resolved_cohomotopy(k, n)
     pl_entry = tables.pl_over_o_entry(k, n)
     pl = pl_entry.group
-    note = ""
     if n == 5:
         image = FgAbGroup.from_primary({2: [1] * (2 * k - 1)})
+        exotic = 2 ** (k - 2) if k >= 2 else None
     else:
         # eta is injective and im(eta) = ker(theta), the subgroup of N^t_Diff
         # whose cotype is im(theta): 0, or L_{2n} = Z_2 where theta is nonzero
-        theta = FgAbGroup.cyclic(_obstruction_image_order(n))
+        theta = FgAbGroup.cyclic(1 if _SEQUENCE[n]["status"] == "zero" else 2)
         images = outer_candidates_between(normal, theta)
         if len(images) != 1 or n in (6, 7) and images != [pl]:
             raise InexactSequence(
@@ -212,71 +215,42 @@ def structure_set(k: int, n: int) -> StructureSetResult:
                 f" for k={k}, n={n}"
             )
         image = images[0]
-    if n in (3, 4, 6):
-        if n == 4:
-            exotic = 2**k
-            derivation = "half of the smooth structure set: |S^t_Diff| / 2 = 2^k"
-            if exotic != normal.torsion_order() // 2:
-                raise InexactSequence(
-                    f"exotic count 2^{k} is not half of |S^t_Diff| = "
-                    f"{normal.torsion_order()} for k={k}, n=4"
-                )
-        else:
-            exotic = 0
-            derivation = (
-                "eta is an isomorphism and every tangential homotopy equivalence "
-                "is realized by a homeomorphism: count 0"
-            )
-        eta_citation = "eta: S^t_Diff -> N^t_Diff is an isomorphism for n = 3, 4, 6"
-    elif n == 5:
-        if k >= 2:
-            exotic = 2 ** (k - 2)
-            derivation = "stored count 2^(k-2); the passage from structure-set "
-            derivation += "elements to homeomorphism classes is not re-derived here"
-        else:
-            exotic = None
-            note = (
-                "the 2^(k-2) count applies for k >= 2 only; "
-                "no count is asserted at k = 1"
-            )
-            derivation = "out of domain at k = 1"
-        eta_citation = (
-            "im(eta: S^t_Diff(#_k CP^5) -> N^t_Diff) = Z_2^(2k-1); "
-            "the obstruction map to L_10 is nonzero"
-        )
-    else:  # n == 7
-        exotic = 0
-        derivation = (
-            "im(eta) is isomorphic to the PL tangential smoothing set, "
-            "so every smooth class is PL-realized: count 0"
-        )
-        eta_citation = (
-            "im(eta: S^t_Diff(#_k CP^7) -> N^t_Diff) is isomorphic to "
-            "S^t_PL(#_k CP^7)"
-        )
-    return StructureSetResult(
-        k=k,
-        n=n,
-        normal_invariants=normal,
-        pl_group=pl,
-        image_of_eta=image,
-        exotic_count=exotic,
-        derivation=derivation,
-        normal_citations=cites,
-        pl_citation=pl_entry.citations[0],
-        eta_citation=eta_citation,
-        note=note,
-    )
+        exotic = image.torsion_order() // 2 if n == 4 else 0
+    return StructureSetResult(k, n, normal, pl, image, exotic, cites, pl_entry.citations[0])
 
 
-_OBSTRUCTION_STATUS = {
-    3: ("zero", "the obstruction map out of k copies of pi_s^0(CP^3) vanishes"),
-    4: ("zero", "the obstruction map out of k copies of pi_s^0(CP^4) vanishes"),
-    5: ("nonzero", "the PL comparison over S^10 shows the obstruction is nonzero"),
-    6: ("zero", "eta is an isomorphism, so every normal invariant has zero obstruction"),
-    7: (
-        "nonzero-homomorphism",
-        "the single-copy obstruction map to L_14 is a nonzero homomorphism "
-        "and the wedge-quotient map is surjective",
-    ),
+_COUNT_ZERO = ("eta is an isomorphism and every tangential homotopy equivalence "
+               "is realized by a homeomorphism: count 0")
+_ETA_ISO = "eta: S^t_Diff -> N^t_Diff is an isomorphism for n = 3, 4, 6"
+
+# what the surgery sequence of #_k CP^n rests on for each n, in the shape of
+# a cited table record: the status of the obstruction map theta and its
+# citation, the citation of im(eta) and the derivation of the exotic count;
+# at n = 5 the "k1" row stands in where no count is asserted
+_SEQUENCE = {
+    3: {"status": "zero",
+        "status_citation": "the obstruction map out of k copies of pi_s^0(CP^3) vanishes",
+        "eta_citation": _ETA_ISO, "derivation": _COUNT_ZERO},
+    4: {"status": "zero",
+        "status_citation": "the obstruction map out of k copies of pi_s^0(CP^4) vanishes",
+        "eta_citation": _ETA_ISO,
+        "derivation": "half of the smooth structure set: |S^t_Diff| / 2 = 2^k"},
+    5: {"status": "nonzero",
+        "status_citation": "the PL comparison over S^10 shows the obstruction is nonzero",
+        "eta_citation": "im(eta: S^t_Diff(#_k CP^5) -> N^t_Diff) = Z_2^(2k-1); "
+                        "the obstruction map to L_10 is nonzero",
+        "derivation": "stored count 2^(k-2); the passage from structure-set "
+                      "elements to homeomorphism classes is not re-derived here",
+        "k1": {"derivation": "out of domain at k = 1", "note": "the 2^(k-2) count applies "
+               "for k >= 2 only; no count is asserted at k = 1"}},
+    6: {"status": "zero",
+        "status_citation": "eta is an isomorphism, so every normal invariant has zero obstruction",
+        "eta_citation": _ETA_ISO, "derivation": _COUNT_ZERO},
+    7: {"status": "nonzero-homomorphism",
+        "status_citation": "the single-copy obstruction map to L_14 is a nonzero "
+                           "homomorphism and the wedge-quotient map is surjective",
+        "eta_citation": "im(eta: S^t_Diff(#_k CP^7) -> N^t_Diff) is isomorphic to "
+                        "S^t_PL(#_k CP^7)",
+        "derivation": "im(eta) is isomorphic to the PL tangential smoothing set, "
+                      "so every smooth class is PL-realized: count 0"},
 }

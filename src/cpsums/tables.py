@@ -195,16 +195,14 @@ def _record(kind: str, path: str | None = None, /, **params) -> dict:
 
 
 def _group(value, name: str) -> FgAbGroup:
-    """A ``{"rank": r, "torsion": [d, ...]}`` group field, refused under ``name``
-    unless canonical with integers that are not bools, as ``_affine`` asks."""
-    ints = _shape(value.get("torsion")) if isinstance(value, dict) else None
-    if ints is not None and {*ints, type(value.get("rank"))} == {int} and len(value) == 2:
-        try:
-            return FgAbGroup(value["rank"], tuple(value["torsion"]))
-        except ValueError:
-            pass
-    raise TableError(f"{name} group {value!r} is not {{'rank': r, 'torsion': [d, ...]}} "
-                     "in canonical form")
+    """A ``{"rank": r, "torsion": [d, ...]}`` group field, read by the strict
+    ``FgAbGroup.from_json`` that the CLI's group arguments share; refused
+    under ``name`` unless canonical with integers that are not bools."""
+    try:
+        return FgAbGroup.from_json(value)
+    except (KeyError, TypeError, ValueError):
+        raise TableError(f"{name} group {value!r} is not {{'rank': r, 'torsion': [d, ...]}} "
+                         "in canonical form") from None
 
 
 def entry(kind: str, **params) -> FgAbGroup:
@@ -268,16 +266,24 @@ def _affine(coeffs, m: int) -> int:
     return a * m + b
 
 
-def affine_group(runs, k: int) -> FgAbGroup:
-    """The sum of a*k + b copies of Z_d over a record's runs [d, [a, b]] (Z_0 = Z)."""
+def _runs(runs) -> list:
+    """A record's runs [d, [a, b]]: integer d, and a*k + b >= 0 at every k >= 1."""
     if _shape(runs) is None or any(_shape(run) != [int, list] for run in runs):
         raise TableError(f"runs {runs!r} are not a list of [d, [a, b]] with integer d")
+    for _, coeffs in runs:
+        if _affine(coeffs, 1) < 0 or coeffs[0] < 0:
+            raise TableError(f"multiplicity {coeffs!r} is negative at some k >= 1")
+    return runs
+
+
+def affine_group(runs, k: int) -> FgAbGroup:
+    """The sum of a*k + b copies of Z_d over a record's runs [d, [a, b]] (Z_0 = Z).
+
+    A run that is negative at some k >= 1 is refused at every k.
+    """
     orders: list[int] = []
-    for d, coeffs in runs:
-        copies = _affine(coeffs, k)
-        if copies < 0:
-            raise TableError(f"run [{d}, {coeffs}] asks for {copies} copies at k = {k}")
-        orders.extend([d] * copies)
+    for d, (a, b) in _runs(runs):
+        orders.extend([d] * (a * k + b))
     return FgAbGroup.from_cyclic_orders(*orders)
 
 
@@ -374,22 +380,28 @@ def pi_s0_sequence(n: int) -> dict:
     or ``{"localization_at": p, "equals": runs}`` in ``affine_group`` runs;
     ``citation`` names the sequence and ``splitting`` the citations of its
     splitting argument.  A sub, quotient term or filter of any other shape,
-    a bool among its integers included, raises TableError naming the record.
+    a bool among its integers included, or a multiplicity that is negative
+    at some k >= 1, raises TableError naming the record.
     """
     rec = _record("pi_s0_sequence", n=n)
     name = f"record pi_s0_sequence {{'n': {n}}}"
     missing = [key for key in ("sub", "quot", "filters", "splitting") if key not in rec]
     if missing:
         raise TableError(f"{name} lacks {', '.join(missing)}")
-    if rec["sub"] is not None and _shape(rec["sub"]) != [int, int]:
-        raise TableError(f"{name}: sub {rec['sub']!r} is neither null nor a pair [d, n]")
-    if any(_shape(rec[key]) is None for key in ("quot", "filters", "splitting")):
-        raise TableError(f"{name}: quot, filters and splitting must be lists")
-    for term in rec["quot"]:
-        if _shape(term) != [str, int, list]:
-            raise TableError(f"{name}: quotient term {term!r} is not [kind, n, [a, b]]")
-        _affine(term[2], 0)
-    for spec in rec["filters"]:
-        if not isinstance(spec, dict) or {k: type(v) for k, v in spec.items()} not in _FILTER_FORMS:
-            raise TableError(f"{name}: filter {spec!r} has neither documented form")
+    try:
+        if rec["sub"] is not None and _shape(rec["sub"]) != [int, int]:
+            raise TableError(f"sub {rec['sub']!r} is neither null nor a pair [d, n]")
+        if any(_shape(rec[key]) is None for key in ("quot", "filters", "splitting")):
+            raise TableError("quot, filters and splitting must be lists")
+        for term in rec["quot"]:
+            if _shape(term) != [str, int, list]:
+                raise TableError(f"quotient term {term!r} is not [kind, n, [a, b]]")
+        _runs([term[1:] for term in rec["quot"]])  # each [n', [a, b]] tail reads as a run
+        for spec in rec["filters"]:
+            form = {k: type(v) for k, v in spec.items()} if isinstance(spec, dict) else None
+            if form not in _FILTER_FORMS:
+                raise TableError(f"filter {spec!r} has neither documented form")
+            _runs(spec.get("equals", []))
+    except TableError as exc:
+        raise TableError(f"{name}: {exc}") from None
     return rec

@@ -101,6 +101,28 @@ class TestComputeVerb:
 
 
 class TestClassifyVerb:
+    Z2 = '{"rank":0,"torsion":[2]}'
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sub", '{"rank": true, "torsion": [2.9]}', "--quot", Z2],
+            ["--sub", '{"rank": 0, "torsion": ["3"]}', "--quot", Z2],
+            ["--sub", Z2, "--quot", '{"rank": 0.0, "torsion": []}'],
+            ["--sub", Z2, "--quot", Z2, "--localized", "2", '{"rank": 0, "torsion": [2.0]}'],
+            ["--sub", Z2, "--quot", Z2, "--torsion", '{"rank": 0, "torsion": [false]}'],
+            ["--sub", '{"rank": 0, "torsion": [2], "order": 2}', "--quot", Z2],
+        ],
+    )
+    def test_group_json_is_strict(self, capsys, argv):
+        # bools, floats, strings and extra keys are refused, as in the data file
+        code = main(["classify-extension", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: bad group JSON '")
+        assert captured.err.endswith(": expected {'rank': r, 'torsion': [d, ...]} "
+                                     "in integers only\n")
+
     def test_unique_after_filter(self, capsys):
         code, out = run(
             capsys,
@@ -243,6 +265,21 @@ class TestVerifyVerb:
         assert code == 1
         assert "violated: surgery-exactness" in out
 
+    def test_stem_image_contradiction_is_a_verification_failure(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # im((Sigma h)^*) = Z_4 cannot sit in pi_8^s = Z_2^2: every suite still
+        # reports, and the tables suite names the violated property
+        _edit_record(tmp_path, monkeypatch, "hopf_image_suspension", {"n": 4},
+                     lambda rec: rec.__setitem__("group", {"rank": 0, "torsion": [4]}))
+        code, out = run(capsys, "verify", "--suite", "all", "--cases", "1", "--max-order", "1")
+        assert code == 1
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("suite")] == [
+            f"suite {name}" for name in verify.SUITES
+        ]
+        assert "violated: image-in-stem" in out
+        assert "n=4: (Z_2^2) / (Z_4): 0 quotient types fit" in out
+
     def test_snf_deterministic_with_seed(self, capsys):
         code, out_a = run(
             capsys, "verify", "--suite", "snf", "--cases", "50", "--seed", "7"
@@ -363,7 +400,10 @@ class TestSequenceRecords:
             (lambda rec: rec["quot"][0].__setitem__(2, ["1", -1]), tables.TableError,
              "multiplicity ['1', -1] is not a pair [a, b] of integers"),
             (lambda rec: rec["quot"][1].__setitem__(2, [0, -1]), tables.TableError,
-             "run [2, [0, -1]] asks for -1 copies at k = 2"),
+             "record pi_s0_sequence {'n': 5}: multiplicity [0, -1] is negative at some k >= 1"),
+            # 3 copies at k = 2, but -1 at k = 6: refused whatever k is asked
+            (lambda rec: rec["quot"][0].__setitem__(2, [-1, 5]), tables.TableError,
+             "record pi_s0_sequence {'n': 5}: multiplicity [-1, 5] is negative at some k >= 1"),
             (lambda rec: rec["quot"][1].__setitem__(0, "hopf_kernels"),
              tables.UntabulatedDegree, "no table entry for hopf_kernels {'n': 4}"),
             (lambda rec: rec["filters"][0].__setitem__("no_element_of_order", "4"),
@@ -372,7 +412,8 @@ class TestSequenceRecords:
             (lambda rec: rec["filters"].__setitem__(0, {}), tables.TableError,
              "record pi_s0_sequence {'n': 5}: filter {} has neither documented form"),
             (lambda rec: rec["filters"].append({"localization_at": 3, "equals": [3]}),
-             tables.TableError, "runs [3] are not a list of [d, [a, b]] with integer d"),
+             tables.TableError, "record pi_s0_sequence {'n': 5}: "
+             "runs [3] are not a list of [d, [a, b]] with integer d"),
             (lambda rec: rec.__setitem__("sub", 10), tables.TableError,
              "record pi_s0_sequence {'n': 5}: sub 10 is neither null nor a pair [d, n]"),
             (lambda rec: rec["quot"][1].pop(), tables.TableError,
@@ -430,6 +471,9 @@ class TestRecordFields:
             ("pl_over_o", {"n": 5}, lambda rec: rec.pop("torsion"),
              ["compute", "--invariant", "pl-o", "--k", "2", "--n", "5"],
              "record pl_over_o {'n': 5}: runs None are not a list"),
+            ("pl_over_o", {"n": 5}, lambda rec: rec["torsion"][0].__setitem__(1, [-1, 5]),
+             ["compute", "--invariant", "pl-o", "--k", "2", "--n", "5"],
+             "record pl_over_o {'n': 5}: multiplicity [-1, 5] is negative at some k >= 1"),
         ],
     )
     def test_malformed_field_names_its_record(

@@ -1,4 +1,5 @@
-"""Every name that cpsums exports has a consumer outside the tests."""
+"""Every name that cpsums exports has a consumer outside the tests, and every
+private module-level name is read in its own module."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,28 @@ def test_every_import_is_read():
     assert len(files) > 10
     unused = {path.name: sorted(unused_imports(path)) for path in files}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def private_definitions(tree):
+    """Private module-level functions, classes and constants of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_is_read():
+    defined, unread = 0, {}
+    for path in (ROOT / "src" / "cpsums").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private = private_definitions(tree)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        defined += len(private)
+        unread[path.name] = sorted(private - loaded)
+    assert defined > 40
+    assert {name: names for name, names in unread.items() if names} == {}

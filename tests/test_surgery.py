@@ -239,13 +239,6 @@ class TestStructureSet:
                 res.image_of_eta.torsion_order() * res.obstruction_image_order
             )
 
-    def test_n4_half_count_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            surgery, "_resolved_cohomotopy", lambda k, n: (two_group(k), ())
-        )
-        with pytest.raises(ValueError, match="not half"):
-            structure_set(3, 4)
-
 
 class TestSurgerySequenceReport:
     def test_obstruction_statuses(self):
