@@ -38,7 +38,7 @@ from .extensions import (
     resolve,
 )
 from .tables import GeneratorLabel, Result, UntabulatedDegree
-from .cohomotopy import build_sequence, pi_s0_connected_sum
+from .cohomotopy import pi_s0_connected_sum
 from .ktheory import complex_k0, complex_k_minus1, ko_group, verify_sandwich
 from .surgery import (
     AmbiguousUpstream,
@@ -68,7 +68,6 @@ __all__ = [
     "StructureSetResult",
     "UntabulatedDegree",
     "brute_force_middle_terms",
-    "build_sequence",
     "complex_k0",
     "complex_k_minus1",
     "f_over_o",

@@ -10,6 +10,13 @@ Groups and bases are derived from Fujii's cited single-copy records
 (`tables.ko_single_cp`), not stored a second time: the CP^n classes
 move to the distinguished k-th summand with the q^* decoration, and
 each of the other k-1 summands takes one copy of the CP^(n-1) basis.
+Every label of a K^0 or KO basis is a single-copy label moved to its
+copy by `_on_copy`, which is memoised: calls over the same few k and n
+share their labels instead of building and checking them again.  A call
+that moves more labels than the memo holds bypasses it, so it neither
+evicts the shared labels nor pays to keep its own: a KO basis then moves
+through the unmemoised `_on_copy`, and a K^0 basis builds each label in
+place.
 
 Acceptance criterion 3 encodes the 32 (s, n mod 4) cases independently
 and is the cross-check of this derivation; `verify_sandwich` remains
@@ -19,6 +26,8 @@ constraints of the sequence above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 from . import tables
 from .fgab import FgAbGroup, factorint
@@ -46,7 +55,13 @@ def complex_k0(k: int, n: int) -> Result:
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     labels = [GeneratorLabel("omega", 0, 1, "d*")]
-    labels.extend(GeneratorLabel("eta", j, i) for i in range(1, k + 1) for j in range(1, n))
+    if k * (n - 1) <= _LABEL_MEMO:
+        single = [GeneratorLabel("eta", j) for j in range(1, n)]
+        for i in range(1, k + 1):
+            labels.extend(map(_on_copy, single, repeat(i)))
+    else:
+        # past the memo each label is built in place: a move adds a call per label
+        labels.extend(GeneratorLabel("eta", j, i) for i in range(1, k + 1) for j in range(1, n))
     return Result(
         k,
         n,
@@ -99,8 +114,19 @@ def _sum_group(top, rest, k: int) -> FgAbGroup:
     return FgAbGroup(rank, FgAbGroup.from_cyclic_orders(*orders).invariant_factors)
 
 
+# entries kept by the `_on_copy` memo, and the most labels one call may move
+# through it; the K^0 and KO bases of one k, over every degree and n <= 33,
+# move 1,473 distinct labels at k = 13
+_LABEL_MEMO = 1 << 13
+
+
+@lru_cache(maxsize=_LABEL_MEMO)
 def _on_copy(label: GeneratorLabel, copy: int, decoration: str = "") -> GeneratorLabel:
-    """A single-copy label moved to summand `copy`, its relation subscripted to match."""
+    """A single-copy label moved to summand `copy`, its relation subscripted to match.
+
+    The result depends only on the label's five fields, `copy` and
+    `decoration`, so the memo is keyed on them and needs no data path.
+    """
     relation = label.relation
     if relation:
         relation = (
@@ -127,7 +153,11 @@ def _sum_basis(s: int, top, rest, k: int) -> tuple[GeneratorLabel, ...]:
     The "= 0" suffix is a property of the single-copy relation, which
     `_on_copy` only subscripts, so each single-copy basis is split once.
     """
-    labels = [_on_copy(g, k, "q*") for g in top.basis]
+    # a call that moves more labels than the memo keeps bypasses it, so it
+    # neither evicts the labels that small calls share nor pays to keep its own
+    move = (_on_copy if len(top.basis) + (k - 1) * len(rest.basis) <= _LABEL_MEMO
+            else _on_copy.__wrapped__)
+    labels = [move(g, k, "q*") for g in top.basis]
     if s == 0:
         # the published KO^0 basis names the order-2 class of the distinguished
         # copy by its decorated label: 2*q*(eta_k^(2m+1)) = 0
@@ -139,10 +169,10 @@ def _sum_basis(s: int, top, rest, k: int) -> tuple[GeneratorLabel, ...]:
     rest_free, rest_torsion = _split_torsion(rest.basis)
     basis = top_free
     for i in range(1, k):
-        basis.extend(_on_copy(g, i) for g in rest_free)
+        basis.extend(map(move, rest_free, repeat(i)))
     basis.extend(top_torsion)
     for i in range(1, k):
-        basis.extend(_on_copy(g, i) for g in rest_torsion)
+        basis.extend(map(move, rest_torsion, repeat(i)))
     return tuple(basis)
 
 

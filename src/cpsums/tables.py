@@ -339,6 +339,16 @@ def _labels(gen, m: int) -> list[GeneratorLabel]:
     return [GeneratorLabel(gen["symbol"], j, relation=relation) for j in powers]
 
 
+def _ko_rational_rank(s: int, n: int) -> int:
+    """The free rank of KO^{-s}(CP^n): the rational Atiyah-Hirzebruch sequence
+    collapses, and with H^{2i}(CP^n; Q) = Q for 1 <= i <= n it counts the
+    cells of dimension 4j - s > 0: none for odd s, the 4j-cells for
+    s = 0 mod 4 and the (4j-2)-cells for s = 2 mod 4."""
+    if s % 2:
+        return 0
+    return n // 2 if s % 4 == 0 else (n + 1) // 2
+
+
 @lru_cache(maxsize=512)
 def _ko_single_cp(path: str, s: int, n: int) -> Result:
     m, q = divmod(n, 4)
@@ -347,7 +357,11 @@ def _ko_single_cp(path: str, s: int, n: int) -> Result:
         if _shape(rec.get("generators")) is None:
             raise TableError(f"generators {rec.get('generators')!r} are not a list")
         labels = tuple(label for gen in rec["generators"] for label in _labels(gen, m))
-        group = _group({"rank": _affine(rec.get("rank"), m), "torsion": rec.get("torsion")}, "KO")
+        rank, rational = _affine(rec.get("rank"), m), _ko_rational_rank(s, n)
+        if rank != rational:
+            raise TableError(f"free rank {rank} at n = {n}, but the rational "
+                             f"Atiyah-Hirzebruch count is {rational}")
+        group = _group({"rank": rank, "torsion": rec.get("torsion")}, "KO")
         return Result(1, n, group, (rec["citation"],), basis=labels,
                       external=rec.get("external", False))
     except ValueError as exc:

@@ -279,6 +279,30 @@ class TestVerifyVerb:
         ]
         assert "violated: image-in-stem" in out
         assert "n=4: (Z_2^2) / (Z_4): 0 quotient types fit" in out
+        # the surgery suite files it under pi_s^0, once per k, not as a
+        # failure of the im(eta) solve
+        assert "surgery-exactness" not in out
+        for k in range(2, 7):
+            assert f"k={k}, n=4: (Z_2^2) / (Z_4): 0 quotient types fit" in out
+
+    def test_empty_filter_result_is_a_verification_failure(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # pi_s^0(CP^4) = Z_4 has the cited order of Z_2^2, so only a type
+        # comparison sees it at k = 1; and the n = 5 quotient, which then
+        # holds Z_4, leaves no middle term without an element of order 4.
+        # Every suite still reports, and each failure names k and n
+        _edit_record(tmp_path, monkeypatch, "pi_s0_cp", {"n": 4},
+                     lambda rec: rec.__setitem__("group", {"rank": 0, "torsion": [4]}))
+        code, out = run(capsys, "verify", "--suite", "all", "--cases", "1", "--max-order", "1")
+        assert code == 1
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("suite")] == [
+            f"suite {name}" for name in verify.SUITES
+        ]
+        assert "violated: single-copy-order" in out
+        assert "n=4: sequence resolves to Z_2^2, table says Z_4" in out
+        assert out.count("violated: pi-s0-resolution") == 5  # k = 2..6
+        assert "k=2, n=5: no middle term of 0 -> Z_6 -> G -> Z_2 + Z_4 -> 0" in out
 
     def test_snf_deterministic_with_seed(self, capsys):
         code, out_a = run(
@@ -468,6 +492,11 @@ class TestRecordFields:
              KO, KO_CASE + "KO group {'rank': 2, 'torsion': ['x']} is not"),
             ("ko_cp_case", {"s": 0, "q": 1}, lambda rec: rec["generators"].pop(),
              KO, KO_CASE + "basis lists 2 classes for a group with 3 summands"),
+            # KO^-1(CP^n) has no free part: H^odd(CP^n; Q) = 0
+            ("ko_cp_case", {"s": 1, "q": 0}, lambda rec: rec.__setitem__("rank", [0, 1]),
+             ["compute", "--invariant", "ko", "--s", "1", "--k", "2", "--n", "4"],
+             "record ko_cp_case {'s': 1, 'q': 0}: free rank 1 at n = 4, "
+             "but the rational Atiyah-Hirzebruch count is 0"),
             ("pl_over_o", {"n": 5}, lambda rec: rec.pop("torsion"),
              ["compute", "--invariant", "pl-o", "--k", "2", "--n", "5"],
              "record pl_over_o {'n': 5}: runs None are not a list"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cpsums import tables
+from cpsums import ktheory, tables
 from cpsums.fgab import FgAbGroup
 from cpsums.ktheory import (
     complex_k0,
@@ -10,6 +10,7 @@ from cpsums.ktheory import (
     ko_group,
     verify_sandwich,
 )
+from cpsums.tables import GeneratorLabel
 
 Z2 = FgAbGroup.cyclic(2)
 
@@ -344,6 +345,44 @@ class TestKoBasisCost:
             assert calls == {"_record": 0, "_load": 0}, (s, k, n)
             assert again == first and rep.passed
             tables._ko_single_cp.cache_clear()
+
+    def test_repeat_calls_reuse_the_moved_labels(self, monkeypatch):
+        built = []
+        real = GeneratorLabel.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(GeneratorLabel, "__new__", counting)
+        for s, k, n in ((0, 13, 33), (0, 5, 9), (2, 7, 31), (4, 40, 12), (6, 64, 5)):
+            first = ko_group(s, k, n)
+            built.clear()
+            assert ko_group(s, k, n) == first
+            # only the s = 0 relabel of the distinguished order-2 class
+            assert len(built) <= (s == 0), (s, k, n, built)
+        for k, n in ((13, 33), (64, 2), (1, 1)):
+            first = complex_k0(k, n)
+            built.clear()
+            assert complex_k0(k, n) == first
+            # the single-copy basis eta^1..eta^(n-1) and d*(omega)
+            assert len(built) <= n, (k, n)
+
+    def test_refusals_are_not_memoised(self):
+        label = GeneratorLabel("eta", 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="copy index starts at 1"):
+                ktheory._on_copy(label, 0)
+        assert ktheory._on_copy(label, 1) == label
+        with pytest.raises(ValueError, match="copy index starts at 1"):
+            ktheory._on_copy(label, 0)
+
+    def test_calls_past_the_gate_skip_the_memo(self, monkeypatch):
+        within = ko_group(0, 3, 10), complex_k0(3, 10)
+        monkeypatch.setattr(ktheory, "_LABEL_MEMO", 10)  # both move more labels
+        info = ktheory._on_copy.cache_info()
+        assert (ko_group(0, 3, 10), complex_k0(3, 10)) == within
+        assert ktheory._on_copy.cache_info() == info
 
     def test_block_order_at_k40(self):
         k = 40

@@ -3,11 +3,13 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
 from cpsums import tables
 from cpsums.fgab import FgAbGroup
+from cpsums.ktheory import ko_group
 from cpsums.tables import (
     GeneratorLabel,
     Result,
@@ -298,6 +300,30 @@ class TestDataFileOverride:
         monkeypatch.delenv(tables.DATA_ENV)
         assert ko_single_cp(0, 5) == shipped
         assert ko_single_cp(0, 5).citations == shipped.citations
+
+    def test_connected_sum_basis_follows_the_data_file(self, tmp_path, monkeypatch):
+        # the memoised copy moves are keyed on the whole single-copy label,
+        # its relation included, so another file's relation is moved anew
+        monkeypatch.delenv(tables.DATA_ENV, raising=False)
+        shipped = ko_group(2, 3, 7)
+        lines = []
+        for line in Path(tables.data_path()).read_text(encoding="utf-8").splitlines():
+            rec = json.loads(line)
+            if rec["kind"] == "ko_cp_case" and rec["params"] in ({"s": 2, "q": 2},
+                                                                 {"s": 2, "q": 3}):
+                for gen in rec["generators"]:
+                    if "relation" in gen:
+                        gen["relation"] = "2*sigma = alpha*eta^{2m}"
+                lines.append(json.dumps(rec))
+        path = tmp_path / "tables.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setenv(tables.DATA_ENV, str(path))
+        fixture = ko_group(2, 3, 7)
+        assert [str(b) for b in fixture.basis] == [str(b) for b in shipped.basis]
+        assert [b.relation for b in shipped.basis if b.relation] == ["2*sigma_3 = alpha*eta_3^3"]
+        assert [b.relation for b in fixture.basis if b.relation] == ["2*sigma_3 = alpha*eta_3^2"]
+        monkeypatch.delenv(tables.DATA_ENV)
+        assert ko_group(2, 3, 7) == shipped
 
     def test_large_ko_entries_are_not_kept(self, monkeypatch):
         monkeypatch.delenv(tables.DATA_ENV, raising=False)
