@@ -1,16 +1,18 @@
 """Stable cohomotopy pi_s^0 of k-fold connected sums of CP^n, 3 <= n <= 8.
 
-Every n has one cited ``pi_s0_sequence`` record (`tables.pi_s0_sequence`),
+Every n has one cited ``pi_s0_sequence`` record, which `tables` checks
+and types when it loads the data file (`tables.pi_s0_sequence`); it is
 read here by one code path.  Its sub term pi_{2n}^s / im((Sigma h)^*) is
 the one quotient type that `outer_candidates_between` finds (n = 6 lists
 no stem term).  Its quotient is an affine-in-k number of copies of
 tabulated groups: k copies of pi_s^0(CP^3) for n = 4, k-1 copies of
 pi_s^0(CP^(n-1)) plus the Hopf kernel for n >= 5, nothing for n = 3.
 The middle term is then pinned down by the record's splitting filters:
-no element of order 4 for n = 4, 5, 7, plus the 3-localization
-Z_3^(k-1) for n = 7.  The n = 8 record has no filter and its sequence
-admits two middle terms, so the result is reported as ambiguous rather
-than guessed.
+no element of order 4 for n = 4, 5, 7.  At n = 7 that filter alone
+suffices: the sub term pi_14^s = Z_2^2 has no 3-torsion, so every middle
+term has the 3-part Z_3^(k-1) of the quotient.  The n = 8 record has no
+filter and its sequence admits two middle terms, so the result is
+reported as ambiguous rather than guessed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import extensions, tables
-from .extensions import InexactSequence, ShortExactSequence, SplittingFilter, resolve
+from .extensions import InexactSequence, ShortExactSequence, resolve
 from .fgab import FgAbGroup
 from .tables import Result
 
@@ -45,39 +47,17 @@ def _quotient_by_image(stem: FgAbGroup, image: FgAbGroup) -> FgAbGroup:
     return quotients[0]
 
 
-def _sequence(rec: dict, k: int) -> ShortExactSequence:
-    sub = FgAbGroup.zero()
-    if rec["sub"]:
-        stem, image = rec["sub"]
-        sub = _quotient_by_image(tables.stable_stem(stem), tables.hopf_image_suspension(image))
-    runs = []
-    for kind, m, copies in rec["quot"]:
-        g = tables.entry(kind, n=m)
-        runs += [[d, copies] for d in (0,) * g.free_rank + g.invariant_factors]
-    return ShortExactSequence(sub, tables.affine_group(runs, k), rec["citation"])
-
-
-def _filter(spec: dict, k: int) -> SplittingFilter:
-    if "localization_at" in spec:
-        target = tables.affine_group(spec["equals"], k)
-        return SplittingFilter.localization_at(spec["localization_at"], target)
-    return SplittingFilter.no_element_of_order(spec["no_element_of_order"])
-
-
-def build_sequence(k: int, n: int) -> ShortExactSequence:
-    """The short exact sequence computing pi_s^0 of the k-fold sum of CP^n."""
-    _check_range(k, n)
-    return _sequence(tables.pi_s0_sequence(n), k)
-
-
 def pi_s0_connected_sum(k: int, n: int) -> Result:
     """pi_s^0(#_k CP^n): the resolved group, or both candidates for n = 8."""
     _check_range(k, n)
-    rec = tables.pi_s0_sequence(n)
-    seq = _sequence(rec, k)
-    filters = tuple(_filter(spec, k) for spec in rec["filters"])
-    citations = (seq.provenance, *rec["splitting"])
-    return Result(k, n, resolve(seq, filters), citations, sequence=seq, filters=filters)
+    degrees, quot, filters, citation, splitting = tables.pi_s0_sequence(n)
+    sub = FgAbGroup.zero()
+    if degrees:
+        stem, image = degrees
+        sub = _quotient_by_image(tables.stable_stem(stem), tables.hopf_image_suspension(image))
+    seq = ShortExactSequence(sub, tables.affine_group(quot, k), citation)
+    return Result(k, n, resolve(seq, filters), (citation, *splitting), sequence=seq,
+                  filters=filters)
 
 
 def expected_closed_form(k: int, n: int) -> FgAbGroup:

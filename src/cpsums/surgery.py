@@ -16,7 +16,8 @@ the citation of im(eta) and the derivation of the exotic count; the
 record stores only what depends on k.  Where theta is a homomorphism
 (n = 3, 4, 6, 7), im(eta) = ker(theta) is derived: it is the one
 subgroup type of N^t_Diff with cotype im(theta) that
-`outer_candidates_between` finds.  At n = 6, 7 the PL/O row must be
+`outer_candidates_between` finds, where im(theta) is 0 or the tabulated
+Wall group L_{2n}.  At n = 6, 7 the PL/O row must be
 isomorphic to it.  The exotic count is then derived too: |im(eta)| / 2
 at n = 4, 0 at n = 3, 6, 7.  At n = 5, where theta is only known to be
 nonzero, the image Z_2^(2k-1) and the count 2^(k-2) are stored.
@@ -96,8 +97,8 @@ class StructureSetResult:
 
     @property
     def obstruction_image_order(self) -> int:
-        """|im(theta)|: 1 where the obstruction map vanishes, else |L_{2n}| = 2."""
-        return 1 if self.obstruction_status == "zero" else 2
+        """|im(theta)|: 1 where the obstruction map vanishes, else |L_{2n}|."""
+        return _obstruction_image(self.n).torsion_order()
 
     @property
     def citations(self) -> tuple[str, ...]:
@@ -205,9 +206,8 @@ def structure_set(k: int, n: int) -> StructureSetResult:
         exotic = 2 ** (k - 2) if k >= 2 else None
     else:
         # eta is injective and im(eta) = ker(theta), the subgroup of N^t_Diff
-        # whose cotype is im(theta): 0, or L_{2n} = Z_2 where theta is nonzero
-        theta = FgAbGroup.cyclic(1 if _SEQUENCE[n]["status"] == "zero" else 2)
-        images = outer_candidates_between(normal, theta)
+        # whose cotype is im(theta)
+        images = outer_candidates_between(normal, _obstruction_image(n))
         if len(images) != 1 or n in (6, 7) and images != [pl]:
             raise InexactSequence(
                 f"im(eta) = ker(theta) in N^t_Diff = {normal} must be one type, at n = 6, 7"
@@ -217,6 +217,12 @@ def structure_set(k: int, n: int) -> StructureSetResult:
         image = images[0]
         exotic = image.torsion_order() // 2 if n == 4 else 0
     return StructureSetResult(k, n, normal, pl, image, exotic, cites, pl_entry.citations[0])
+
+
+def _obstruction_image(n: int) -> FgAbGroup:
+    """im(theta): 0 where the obstruction map vanishes, else all of L_{2n},
+    a group of order 2 wherever theta is nonzero (n = 5, 7)."""
+    return FgAbGroup.zero() if _SEQUENCE[n]["status"] == "zero" else tables.wall_group(2 * n)
 
 
 _COUNT_ZERO = ("eta is an isomorphism and every tangential homotopy equivalence "

@@ -6,11 +6,17 @@ K-groups of CP^n, Wall groups, the pi_s^0 sequence of each n) lives in a
 line-delimited JSON data file shipped with the package, one record per
 entry with a citation string.  A multiplicity affine in k is a pair
 [a, b] meaning a*k + b.
-Records without a citation, and ``group`` fields that are not a
-canonical ``{"rank": r, "torsion": [d, ...]}``, are refused at load time.
-Entries sourced from reference tables rather than pinned by the
-connected-sum analysis carry ``external: true`` so the test suites can
-tell them apart; a missing flag means false.
+
+`_load` is the one reader of that format.  It reads the file once and
+checks every record in it, keeping what each reader needs: the group of
+every ``group`` field (canonical ``{"rank": r, "torsion": [d, ...]}``),
+the checked runs of each PL/O row, the checked fields of each KO case
+and the sequence of each n, its quotient read from the groups it names.  A malformed record, or one without a
+citation, fails every lookup in its file with one TableError that names
+``path:line`` and the record.  Entries sourced from reference tables
+rather than pinned by the connected-sum analysis carry ``external:
+true`` so the test suites can tell them apart; a missing flag means
+false.
 
 ``Result`` is the one record of a cited group: pi_s^0, K, KO, [X, F/O]
 and [X, F/PL] of ``#_k CP^n`` and the KO and PL/O table rows are
@@ -30,10 +36,11 @@ from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, NamedTuple
 
+from .extensions import SplittingFilter
 from .fgab import FgAbGroup
 
 if TYPE_CHECKING:
-    from .extensions import AmbiguousResult, ShortExactSequence, SplittingFilter
+    from .extensions import AmbiguousResult, ShortExactSequence
 
 DATA_ENV = "FGAB_TABLES"
 
@@ -145,77 +152,95 @@ def data_path() -> str:
     return os.environ.get(DATA_ENV) or _default_path()
 
 
-def _record_key(rec, where: str) -> tuple:
-    """Lookup key (kind, sorted params) of a raw record, validated."""
+def _named(name: str, read, *args):
+    """``read(*args)``, with a refusal prefixed by ``name``: the one place a
+    record's error gets its ``path:line``."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise TableError(f"{name}: {exc}") from None
+
+
+def _parse(line: str) -> tuple[tuple, dict]:
+    """The lookup key (kind, sorted params) and the raw record of a line."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TableError(f"not valid JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise TableError(f"expected a JSON object, got {type(rec).__name__}")
+    if not rec.get("citation"):
+        raise TableError(f"record {rec.get('kind')!r} lacks a citation")
     kind, params = rec.get("kind"), rec.get("params")
     if not isinstance(kind, str) or not isinstance(params, dict):
-        raise TableError(f"{where}: record needs a string 'kind' and an object 'params'")
+        raise TableError("record needs a string 'kind' and an object 'params'")
     for name, value in params.items():
         if isinstance(value, bool) or not isinstance(value, int):
-            raise TableError(f"{where}: param {name}={value!r} of {kind!r} is not an integer")
-    return (kind, tuple(sorted(params.items())))
+            raise TableError(f"param {name}={value!r} of {kind!r} is not an integer")
+    return (kind, tuple(sorted(params.items()))), rec
 
 
 @lru_cache(maxsize=8)
-def _load(path: str) -> dict[tuple, dict]:
+def _load(path: str) -> tuple[list[dict], dict[tuple, object]]:
+    """The records of a data file as written, in file order, and what the
+    reader of each lookup key (kind, sorted params) needs."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise TableError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
-    records: dict[tuple, dict] = {}
+    records: dict[tuple, tuple[str, dict]] = {}
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TableError(f"{where}: not valid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise TableError(f"{where}: expected a JSON object, got {type(rec).__name__}")
-        if not rec.get("citation"):
-            raise TableError(f"{where}: record {rec.get('kind')!r} lacks a citation")
-        key = _record_key(rec, where)
-        if "group" in rec:
-            _group(rec["group"], f"{where}: {key[0]}")
-        if key in records:
-            raise TableError(f"{where}: duplicate record {key}")
-        records[key] = rec
-    return records
+        if line.strip():
+            where = f"{path}:{lineno}"
+            key, rec = _named(where, _parse, line)
+            if key in records:
+                raise TableError(f"{where}: duplicate record {key}")
+            records[key] = where, rec
+    values: dict[tuple, object] = {}
+    # a sequence reads the groups its quotient names, so sequences come last
+    for key in sorted(records, key=lambda each: each[0] == "pi_s0_sequence"):
+        where, rec = records[key]
+        read = _READERS.get(key[0], _group_record)
+        values[key] = _named(f"{where}: record {key[0]} {rec['params']}", read, rec, values)
+    return [rec for _, rec in records.values()], values
 
 
-def _record(kind: str, path: str | None = None, /, **params) -> dict:
+def _record(kind: str, path: str | None = None, /, **params):
+    """What the reader of the record (kind, params) needs, checked at load."""
     key = (kind, tuple(sorted((k, int(v)) for k, v in params.items())))
-    table = _load(path or data_path())
-    if key not in table:
+    values = _load(path or data_path())[1]
+    if key not in values:
         raise UntabulatedDegree(f"no table entry for {kind} {params}")
-    return table[key]
+    return values[key]
 
 
-def _group(value, name: str) -> FgAbGroup:
+def _group(value, name: str = "group") -> FgAbGroup:
     """A ``{"rank": r, "torsion": [d, ...]}`` group field, read by the strict
     ``FgAbGroup.from_json`` that the CLI's group arguments share; refused
     under ``name`` unless canonical with integers that are not bools."""
     try:
         return FgAbGroup.from_json(value)
     except (KeyError, TypeError, ValueError):
-        raise TableError(f"{name} group {value!r} is not {{'rank': r, 'torsion': [d, ...]}} "
+        raise TableError(f"{name} {value!r} is not {{'rank': r, 'torsion': [d, ...]}} "
                          "in canonical form") from None
+
+
+def _group_record(rec: dict, values) -> FgAbGroup | None:
+    return _group(rec["group"]) if "group" in rec else None
 
 
 def entry(kind: str, **params) -> FgAbGroup:
     """The group of a tabulated record, checked when its file was loaded."""
-    rec = _record(kind, **params)
-    if "group" not in rec:
+    group = _record(kind, **params)
+    if not isinstance(group, FgAbGroup):
         raise TableError(f"record {kind} {params} has no group (parametric records have none)")
-    return FgAbGroup.from_json(rec["group"])
+    return group
 
 
 def all_raw_records() -> list[dict]:
     """Every record in the active data file, in file order."""
-    return list(_load(data_path()).values())
+    return list(_load(data_path())[0])
 
 
 # -- concrete tables ---------------------------------------------------------
@@ -258,31 +283,30 @@ def _shape(value) -> list | None:
     return [type(v) for v in value] if isinstance(value, list) else None
 
 
-def _affine(coeffs, m: int) -> int:
-    """a*m + b for a record's multiplicity pair [a, b]."""
+def _pair(coeffs) -> tuple[int, int]:
+    """A record's multiplicity [a, b], meaning a*m + b."""
     if _shape(coeffs) != [int, int]:
         raise TableError(f"multiplicity {coeffs!r} is not a pair [a, b] of integers")
-    a, b = coeffs
-    return a * m + b
+    return tuple(coeffs)
 
 
-def _runs(runs) -> list:
-    """A record's runs [d, [a, b]]: integer d, and a*k + b >= 0 at every k >= 1."""
+def _runs(runs) -> tuple:
+    """A record's runs [d, [a, b]] as (d, (a, b)): integer d, and a*k + b >= 0
+    at every k >= 1."""
     if _shape(runs) is None or any(_shape(run) != [int, list] for run in runs):
         raise TableError(f"runs {runs!r} are not a list of [d, [a, b]] with integer d")
-    for _, coeffs in runs:
-        if _affine(coeffs, 1) < 0 or coeffs[0] < 0:
-            raise TableError(f"multiplicity {coeffs!r} is negative at some k >= 1")
-    return runs
+    checked = tuple((d, _pair(coeffs)) for d, coeffs in runs)
+    for _, (a, b) in checked:
+        if a < 0 or a + b < 0:
+            raise TableError(f"multiplicity {[a, b]} is negative at some k >= 1")
+    return checked
 
 
 def affine_group(runs, k: int) -> FgAbGroup:
-    """The sum of a*k + b copies of Z_d over a record's runs [d, [a, b]] (Z_0 = Z).
-
-    A run that is negative at some k >= 1 is refused at every k.
-    """
+    """The sum of a*k + b copies of Z_d over runs (d, (a, b)) checked at load
+    (Z_0 = Z)."""
     orders: list[int] = []
-    for d, (a, b) in _runs(runs):
+    for d, (a, b) in runs:
         orders.extend([d] * (a * k + b))
     return FgAbGroup.from_cyclic_orders(*orders)
 
@@ -327,95 +351,120 @@ def ko_single_cp(s: int, n: int) -> Result:
 _GENERATOR_FORMS = ({"symbol": str}, {"symbol": str, "j_from": list, "j_to": list})
 
 
-def _labels(gen, m: int) -> list[GeneratorLabel]:
-    """The labels of one ko_cp_case generator: one, or one per power j_from..j_to."""
+def _generator(gen) -> tuple:
+    """A ko_cp_case generator as (symbol, j_from, j_to, relation): the label
+    of power 0, or one label per power j_from..j_to, affine in m."""
     form = {key: type(value) for key, value in gen.items()} if isinstance(gen, dict) else None
     if form is None or form.pop("relation", str) is not str or form not in _GENERATOR_FORMS:
         raise TableError(f"generator {gen!r} has neither documented form")
-    relation = _format_relation(gen["relation"], m) if gen.get("relation") else None
-    powers = [0]
-    if "j_from" in gen:
-        powers = range(_affine(gen["j_from"], m), _affine(gen["j_to"], m) + 1)
-    return [GeneratorLabel(gen["symbol"], j, relation=relation) for j in powers]
+    powers = [_pair(gen.get(end, [0, 0])) for end in ("j_from", "j_to")]
+    return (gen["symbol"], *powers, gen.get("relation") or None)
 
 
-def _ko_rational_rank(s: int, n: int) -> int:
-    """The free rank of KO^{-s}(CP^n): the rational Atiyah-Hirzebruch sequence
-    collapses, and with H^{2i}(CP^n; Q) = Q for 1 <= i <= n it counts the
-    cells of dimension 4j - s > 0: none for odd s, the 4j-cells for
-    s = 0 mod 4 and the (4j-2)-cells for s = 2 mod 4."""
-    if s % 2:
-        return 0
-    return n // 2 if s % 4 == 0 else (n + 1) // 2
+def _labels(gen: tuple, m: int) -> list[GeneratorLabel]:
+    symbol, (a, b), (c, d), relation = gen
+    relation = relation and _format_relation(relation, m)
+    return [GeneratorLabel(symbol, j, relation=relation) for j in range(a * m + b, c * m + d + 1)]
+
+
+def _ko_rational_rank(s: int, q: int) -> tuple[int, int]:
+    """The free rank of KO^{-s}(CP^(4m+q)) as the pair [a, b] of a*m + b: the
+    rational Atiyah-Hirzebruch sequence collapses, and with H^{2i}(CP^n; Q)
+    = Q for 1 <= i <= n it counts the cells of dimension 4j - s > 0: none
+    for odd s, the 4j-cells (2m + q // 2) for s = 0 mod 4 and the
+    (4j-2)-cells (2m + (q + 1) // 2) for s = 2 mod 4."""
+    return (0, 0) if s % 2 else (2, (q + s % 4 // 2) // 2)
+
+
+def _ko_case(rec: dict, values) -> tuple:
+    """(rank, torsion, generators, citation, external) of a ko_cp_case
+    record; the rank is the pair [a, b] of a*m + b at n = 4m + q."""
+    params = rec["params"]
+    if sorted(params) != ["q", "s"]:
+        raise TableError(f"params {params} are not {{'s': s, 'q': q}}")
+    rank, rational = _pair(rec.get("rank")), _ko_rational_rank(params["s"], params["q"])
+    if rank != rational:
+        raise TableError(f"free rank {list(rank)} (a*m + b at n = 4m + q) is not the "
+                         f"rational Atiyah-Hirzebruch count {list(rational)}")
+    if _shape(rec.get("generators")) is None:
+        raise TableError(f"generators {rec.get('generators')!r} are not a list")
+    torsion = _group({"rank": 0, "torsion": rec.get("torsion")}, "KO torsion").invariant_factors
+    generators = tuple(map(_generator, rec["generators"]))
+    return rank, torsion, generators, rec["citation"], rec.get("external", False)
 
 
 @lru_cache(maxsize=512)
 def _ko_single_cp(path: str, s: int, n: int) -> Result:
     m, q = divmod(n, 4)
-    rec = _record("ko_cp_case", path, s=s, q=q)
+    (a, b), torsion, generators, citation, external = _record("ko_cp_case", path, s=s, q=q)
     try:
-        if _shape(rec.get("generators")) is None:
-            raise TableError(f"generators {rec.get('generators')!r} are not a list")
-        labels = tuple(label for gen in rec["generators"] for label in _labels(gen, m))
-        rank, rational = _affine(rec.get("rank"), m), _ko_rational_rank(s, n)
-        if rank != rational:
-            raise TableError(f"free rank {rank} at n = {n}, but the rational "
-                             f"Atiyah-Hirzebruch count is {rational}")
-        group = _group({"rank": rank, "torsion": rec.get("torsion")}, "KO")
-        return Result(1, n, group, (rec["citation"],), basis=labels,
-                      external=rec.get("external", False))
+        labels = tuple(label for gen in generators for label in _labels(gen, m))
+        return Result(1, n, FgAbGroup(a * m + b, torsion), (citation,), basis=labels,
+                      external=external)
     except ValueError as exc:
-        # the record's refusals, the basis count of Result's included
+        # what only n shows: a negative power, or Result's basis count
         raise TableError(f"record ko_cp_case {{'s': {s}, 'q': {q}}}: {exc}") from None
+
+
+def _pl_over_o(rec: dict, values) -> tuple:
+    """(runs, citation, external) of a pl_over_o record."""
+    return _runs(rec.get("torsion")), rec["citation"], rec.get("external", False)
 
 
 def pl_over_o_entry(k: int, n: int) -> Result:
     """[#_k CP^n, PL/O] for tabulated n, parametric in k."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    rec = _record("pl_over_o", n=n)
-    try:
-        group = affine_group(rec.get("torsion"), k)
-    except TableError as exc:
-        raise TableError(f"record pl_over_o {{'n': {n}}}: {exc}") from None
-    return Result(k, n, group, (rec["citation"],), external=rec.get("external", False))
+    runs, citation, external = _record("pl_over_o", n=n)
+    return Result(k, n, affine_group(runs, k), (citation,), external=external)
 
 
-# the two filter forms of a pi_s0_sequence record, as the type of each value
-_FILTER_FORMS = ({"no_element_of_order": int}, {"localization_at": int, "equals": list})
+# the filter forms of a pi_s0_sequence record, as the type of each value
+_FILTER_FORMS = ({"no_element_of_order": int},)
 
 
-def pi_s0_sequence(n: int) -> dict:
-    """The cited record of the sequence computing pi_s^0(#_k CP^n), 3 <= n <= 8.
-
-    ``sub`` is the stem term pi_{d}^s / im((Sigma h)^*) as the degree pair
-    [d, n], null at n = 6; ``quot`` lists [kind, n', [a, b]]: a*k + b copies
-    of a tabulated group; ``filters`` holds ``{"no_element_of_order": d}``
-    or ``{"localization_at": p, "equals": runs}`` in ``affine_group`` runs;
-    ``citation`` names the sequence and ``splitting`` the citations of its
-    splitting argument.  A sub, quotient term or filter of any other shape,
-    a bool among its integers included, or a multiplicity that is negative
-    at some k >= 1, raises TableError naming the record.
-    """
-    rec = _record("pi_s0_sequence", n=n)
-    name = f"record pi_s0_sequence {{'n': {n}}}"
+def _pi_s0_sequence(rec: dict, values) -> tuple:
+    """The sequence a pi_s0_sequence record names, as `pi_s0_sequence` returns
+    it.  In the record ``sub`` is null or [d, n]; ``quot`` lists
+    [kind, n', [a, b]], a*k + b copies of the tabulated group (kind, n');
+    ``filters`` holds ``{"no_element_of_order": d}``; ``splitting`` is a
+    list of citations."""
     missing = [key for key in ("sub", "quot", "filters", "splitting") if key not in rec]
     if missing:
-        raise TableError(f"{name} lacks {', '.join(missing)}")
-    try:
-        if rec["sub"] is not None and _shape(rec["sub"]) != [int, int]:
-            raise TableError(f"sub {rec['sub']!r} is neither null nor a pair [d, n]")
-        if any(_shape(rec[key]) is None for key in ("quot", "filters", "splitting")):
-            raise TableError("quot, filters and splitting must be lists")
-        for term in rec["quot"]:
-            if _shape(term) != [str, int, list]:
-                raise TableError(f"quotient term {term!r} is not [kind, n, [a, b]]")
-        _runs([term[1:] for term in rec["quot"]])  # each [n', [a, b]] tail reads as a run
-        for spec in rec["filters"]:
-            form = {k: type(v) for k, v in spec.items()} if isinstance(spec, dict) else None
-            if form not in _FILTER_FORMS:
-                raise TableError(f"filter {spec!r} has neither documented form")
-            _runs(spec.get("equals", []))
-    except TableError as exc:
-        raise TableError(f"{name}: {exc}") from None
-    return rec
+        raise TableError(f"lacks {', '.join(missing)}")
+    if rec["sub"] is not None and _shape(rec["sub"]) != [int, int]:
+        raise TableError(f"sub {rec['sub']!r} is neither null nor a pair [d, n]")
+    if any(_shape(rec[key]) is None for key in ("quot", "filters", "splitting")):
+        raise TableError("quot, filters and splitting must be lists")
+    quot, filters = [], []
+    for term in rec["quot"]:
+        if _shape(term) != [str, int, list]:
+            raise TableError(f"quotient term {term!r} is not [kind, n, [a, b]]")
+        # the [n', [a, b]] tail of a term reads as a run
+        (_, copies), group = _runs([term[1:]])[0], values.get((term[0], (("n", term[1]),)))
+        if not isinstance(group, FgAbGroup):
+            raise TableError(f"quotient term {term!r} names no group record")
+        quot += [(d, copies) for d in (0,) * group.free_rank + group.invariant_factors]
+    for spec in rec["filters"]:
+        if not isinstance(spec, dict) or {k: type(v) for k, v in spec.items()} not in _FILTER_FORMS:
+            raise TableError(f"filter {spec!r} has neither documented form")
+        filters.append(SplittingFilter.no_element_of_order(spec["no_element_of_order"]))
+    return (rec["sub"] and tuple(rec["sub"]), tuple(quot), tuple(filters), rec["citation"],
+            tuple(rec["splitting"]))
+
+
+def pi_s0_sequence(n: int) -> tuple:
+    """The sequence computing pi_s^0(#_k CP^n), 3 <= n <= 8, checked at load,
+    as (sub, quot, filters, citation, splitting).
+
+    ``sub`` is the stem term pi_d^s / im((Sigma h)^*) as the degree pair
+    (d, n), None at n = 6; ``quot`` is the quotient as ``affine_group``
+    runs, read from the tabulated groups the record names; ``filters`` are
+    the ``SplittingFilter``s; ``citation`` names the sequence and
+    ``splitting`` holds the citations of its splitting argument.
+    """
+    return _record("pi_s0_sequence", n=n)
+
+
+# what each parametric kind keeps; every other record keeps its group
+_READERS = {"ko_cp_case": _ko_case, "pl_over_o": _pl_over_o, "pi_s0_sequence": _pi_s0_sequence}

@@ -134,6 +134,20 @@ def tables_suite() -> SuiteReport:
                 f"im((Sigma h)^*) is a subgroup of pi_{2 * n}^s",
                 f"n={n}: {image} does not embed in {stem}",
             )
+    # ker(h^*) is a subgroup of pi_s^0(CP^n) with one quotient type, the
+    # image of h^*, and that image embeds in pi_{2n+1}^s
+    for n in range(4, 8):
+        report.cases += 1
+        single, kernel = tables.pi_s0_single_cp(n), tables.hopf_kernel(n)
+        images, stem = outer_candidates_between(single, kernel), tables.stable_stem(2 * n + 1)
+        if len(images) != 1 or not outer_candidates_between(stem, images[0]):
+            report.fail(
+                "hopf-kernel",
+                f"ker(h^*: pi_s^0(CP^{n}) -> pi_{2 * n + 1}^s) is a subgroup whose "
+                "one quotient type, the image of h^*, embeds in the stem",
+                f"n={n}: ({single}) / ({kernel}) has quotient types "
+                f"{{{', '.join(map(str, images))}}}, the stem is {stem}",
+            )
     # the k = 1 sequence resolves to the single-copy group: the one middle
     # term for n <= 7, one of the candidates for n = 8
     single_citation = "at k = 1 the sequence reproduces pi_s^0(CP^n)"
@@ -209,7 +223,7 @@ def surgery_suite() -> SuiteReport:
                 )
                 continue
             try:
-                pi = surgery.structure_set(k, n).normal_invariants
+                sset = surgery.structure_set(k, n)
             except InexactSequence as exc:
                 report.fail(
                     "surgery-exactness",
@@ -218,6 +232,13 @@ def surgery_suite() -> SuiteReport:
                     str(exc),
                 )
                 continue
+            pi = sset.normal_invariants
+            if not sset.eta_injective:
+                report.fail(
+                    "eta-injective",
+                    "the odd Wall group vanishes, so eta is injective",
+                    f"k={k}, n={n}: L_{2 * n + 1} = {sset.odd_wall}",
+                )
             if fo.torsion != pi:
                 report.fail(
                     "f-o-torsion",

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from cpsums import tables
-from cpsums.cohomotopy import build_sequence, pi_s0_connected_sum
+from cpsums.cohomotopy import pi_s0_connected_sum
 from cpsums.extensions import (
     AmbiguousResult,
     all_abelian_groups_of_order,
@@ -70,7 +70,7 @@ def test_criterion_2_n8_honesty():
         for k in (1, 2):
             res = pi_s0_connected_sum(k, 8)
             assert isinstance(res.group, AmbiguousResult)
-            seq = build_sequence(k, 8)
+            seq = res.sequence
             oracle = brute_force_middle_terms(seq.sub, seq.quot)
             assert sorted(res.group.candidates) == oracle
 

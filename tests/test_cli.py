@@ -304,6 +304,25 @@ class TestVerifyVerb:
         assert out.count("violated: pi-s0-resolution") == 5  # k = 2..6
         assert "k=2, n=5: no middle term of 0 -> Z_6 -> G -> Z_2 + Z_4 -> 0" in out
 
+    @pytest.mark.parametrize(
+        "kind, params, torsion, suite, prop",
+        [
+            # pi_13^s = Z_2 has no room for the image Z_6 / Z_2 = Z_3 of h^* at n = 6
+            ("stable_stem", {"n": 13}, [2], "tables", "hopf-kernel"),
+            # im(theta) = L_14 = Z_4 is no quotient of N^t_Diff at n = 7
+            ("wall_group", {"i_mod_4": 2}, [4], "surgery", "surgery-exactness"),
+            ("wall_group", {"i_mod_4": 3}, [2], "surgery", "eta-injective"),
+        ],
+    )
+    def test_cited_group_is_read_by_a_check(
+        self, capsys, tmp_path, monkeypatch, kind, params, torsion, suite, prop
+    ):
+        _edit_record(tmp_path, monkeypatch, kind, params,
+                     lambda rec: rec.__setitem__("group", {"rank": 0, "torsion": torsion}))
+        code, out = run(capsys, "verify", "--suite", suite)
+        assert code == 1
+        assert f"violated: {prop}" in out
+
     def test_snf_deterministic_with_seed(self, capsys):
         code, out_a = run(
             capsys, "verify", "--suite", "snf", "--cases", "50", "--seed", "7"
@@ -428,16 +447,17 @@ class TestSequenceRecords:
             # 3 copies at k = 2, but -1 at k = 6: refused whatever k is asked
             (lambda rec: rec["quot"][0].__setitem__(2, [-1, 5]), tables.TableError,
              "record pi_s0_sequence {'n': 5}: multiplicity [-1, 5] is negative at some k >= 1"),
-            (lambda rec: rec["quot"][1].__setitem__(0, "hopf_kernels"),
-             tables.UntabulatedDegree, "no table entry for hopf_kernels {'n': 4}"),
+            (lambda rec: rec["quot"][1].__setitem__(0, "hopf_kernels"), tables.TableError,
+             "record pi_s0_sequence {'n': 5}: quotient term ['hopf_kernels', 4, [0, 1]] "
+             "names no group record"),
             (lambda rec: rec["filters"][0].__setitem__("no_element_of_order", "4"),
              tables.TableError, "record pi_s0_sequence {'n': 5}: filter "
              "{'no_element_of_order': '4'} has neither documented form"),
             (lambda rec: rec["filters"].__setitem__(0, {}), tables.TableError,
              "record pi_s0_sequence {'n': 5}: filter {} has neither documented form"),
             (lambda rec: rec["filters"].append({"localization_at": 3, "equals": [3]}),
-             tables.TableError, "record pi_s0_sequence {'n': 5}: "
-             "runs [3] are not a list of [d, [a, b]] with integer d"),
+             tables.TableError, "record pi_s0_sequence {'n': 5}: filter "
+             "{'localization_at': 3, 'equals': [3]} has neither documented form"),
             (lambda rec: rec.__setitem__("sub", 10), tables.TableError,
              "record pi_s0_sequence {'n': 5}: sub 10 is neither null nor a pair [d, n]"),
             (lambda rec: rec["quot"][1].pop(), tables.TableError,
@@ -457,6 +477,17 @@ class TestSequenceRecords:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
+
+    def test_malformed_record_fails_every_lookup(self, capsys, tmp_path, monkeypatch):
+        # the file is read and checked as a whole: n = 3 never reads the n = 5 record
+        where = _edit_record(tmp_path, monkeypatch, "pi_s0_sequence", {"n": 5},
+                             lambda rec: rec.__setitem__("sub", 10))
+        code = main(["compute", "--invariant", "pi-s0", "--k", "2", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: {where}: record pi_s0_sequence {{'n': 5}}: "
+                                "sub 10 is neither null nor a pair [d, n]\n")
 
     def test_shifted_multiplicity_fails_verification(self, capsys, tmp_path, monkeypatch):
         # k copies of pi_s^0(CP^4) in place of k-1: the k = 1 sequence no
@@ -481,22 +512,23 @@ class TestRecordFields:
         "kind, params, edit, argv, message",
         [
             ("stable_stem", {"n": 10}, lambda rec: rec.__setitem__("group", [2]), PI_S0,
-             "{where}: stable_stem group [2] is not {'rank': r, 'torsion': [d, ...]}"),
+             "{where}: record stable_stem {'n': 10}: group [2] is not "
+             "{'rank': r, 'torsion': [d, ...]}"),
             ("wall_group", {"i_mod_4": 2}, lambda rec: rec.__setitem__("group", "Z_2"),
-             ["tables"], "{where}: wall_group group 'Z_2' is not"),
+             ["tables"], "{where}: record wall_group {'i_mod_4': 2}: group 'Z_2' is not"),
             ("stable_stem", {"n": 10}, lambda rec: rec.pop("group"), PI_S0,
              "record stable_stem {'n': 10} has no group"),
             ("ko_cp_case", {"s": 0, "q": 1}, lambda rec: rec["generators"].__setitem__(0, 3),
              KO, KO_CASE + "generator 3 has neither documented form"),
             ("ko_cp_case", {"s": 0, "q": 1}, lambda rec: rec.__setitem__("torsion", ["x"]),
-             KO, KO_CASE + "KO group {'rank': 2, 'torsion': ['x']} is not"),
+             KO, KO_CASE + "KO torsion {'rank': 0, 'torsion': ['x']} is not"),
             ("ko_cp_case", {"s": 0, "q": 1}, lambda rec: rec["generators"].pop(),
              KO, KO_CASE + "basis lists 2 classes for a group with 3 summands"),
             # KO^-1(CP^n) has no free part: H^odd(CP^n; Q) = 0
             ("ko_cp_case", {"s": 1, "q": 0}, lambda rec: rec.__setitem__("rank", [0, 1]),
              ["compute", "--invariant", "ko", "--s", "1", "--k", "2", "--n", "4"],
-             "record ko_cp_case {'s': 1, 'q': 0}: free rank 1 at n = 4, "
-             "but the rational Atiyah-Hirzebruch count is 0"),
+             "record ko_cp_case {'s': 1, 'q': 0}: free rank [0, 1] (a*m + b at n = 4m + q) "
+             "is not the rational Atiyah-Hirzebruch count [0, 0]"),
             ("pl_over_o", {"n": 5}, lambda rec: rec.pop("torsion"),
              ["compute", "--invariant", "pl-o", "--k", "2", "--n", "5"],
              "record pl_over_o {'n': 5}: runs None are not a list"),

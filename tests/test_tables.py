@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from cpsums import tables
+from cpsums.cohomotopy import pi_s0_connected_sum
 from cpsums.fgab import FgAbGroup
 from cpsums.ktheory import ko_group
+from cpsums.surgery import structure_set
 from cpsums.tables import (
     GeneratorLabel,
     Result,
@@ -235,6 +237,37 @@ class TestEntryValidation:
             Result(1, 1, Z2, ("two labels on one summand",), basis=labels)
 
 
+class TestCheckedOnce:
+    def test_a_row_reads_no_record_again(self, monkeypatch):
+        # one cohomotopy-table row: pi_s^0 for n = 3..8, the structure set
+        # for n = 3..7; every record was read and checked at load
+        monkeypatch.delenv(tables.DATA_ENV, raising=False)
+        calls = {"from_json": 0, "_shape": 0}
+        real_from_json, real_shape = FgAbGroup.from_json.__func__, tables._shape
+
+        def from_json(cls, value):
+            calls["from_json"] += 1
+            return real_from_json(cls, value)
+
+        def shape(value):
+            calls["_shape"] += 1
+            return real_shape(value)
+
+        monkeypatch.setattr(FgAbGroup, "from_json", classmethod(from_json))
+        monkeypatch.setattr(tables, "_shape", shape)
+
+        def row(k):
+            for n in range(3, 9):
+                pi_s0_connected_sum(k, n)
+            for n in range(3, 8):
+                structure_set(k, n)
+
+        row(2)
+        calls.update(from_json=0, _shape=0)
+        row(9)
+        assert calls == {"from_json": 0, "_shape": 0}
+
+
 class TestDataFileOverride:
     def test_env_var_override(self, tmp_path, monkeypatch):
         path = tmp_path / "tables.jsonl"
@@ -364,9 +397,9 @@ class TestDataFileOverride:
             ('{"kind": "stable_stem", "params": {"n": 6.5}, "citation": "c"}',
              "not an integer"),
             ('{"kind": "stable_stem", "params": {"n": 6}, "group": [2], "citation": "c"}',
-             r"stable_stem group \[2\] is not"),
+             r"record stable_stem \{'n': 6\}: group \[2\] is not"),
             ('{"kind": "stable_stem", "params": {"n": 6}, "group": "Z_2", "citation": "c"}',
-             "stable_stem group 'Z_2' is not"),
+             r"record stable_stem \{'n': 6\}: group 'Z_2' is not"),
             ('{"kind": "stable_stem", "params": {"n": 6}, "group": {"rank": true, "torsion": []},'
              ' "citation": "c"}', "'rank': True, 'torsion': .* in canonical form"),
             ('{"kind": "stable_stem", "params": {"n": 6}, "group": {"rank": 0, "torsion": [3, 2]},'
